@@ -24,7 +24,7 @@ from .constructions import (
     spectrum_of,
     sym,
 )
-from .dixon import CLASS_CAP, ClassCountError, DegreeSpectrum, class_matrix, degree_spectrum, dixon_degrees
+from .dixon import CLASS_CAP, ClassCountError, DegreeSpectrum, degree_spectrum, dixon_degrees
 from .fields import FiniteField, finite_field
 from .groups import ClassStructure, GroupTooLargeError, PermGroup, conjugacy_classes
 from .liedeg import (
@@ -39,7 +39,7 @@ from .liedeg import (
     prime_coverage_check,
     witness_degrees,
 )
-from .numbers import factorize, is_prime, is_prime_power, prime_divisors, prime_power_decomposition
+from .numbers import InvariantError, factorize, is_prime, is_prime_power, prime_divisors, prime_power_decomposition
 from .subgroups import (
     SubgroupHandle,
     derived_series,

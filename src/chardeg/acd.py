@@ -12,11 +12,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dixon import DegreeSpectrum
-from .numbers import is_prime_power
+from .numbers import is_prime, is_prime_power
 
 Rational = Fraction
 
 ELL_SEARCH_CAP = 10**6
+
+
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
 
 
 def irr_p_degrees(spectrum: DegreeSpectrum, p: int) -> tuple[int, ...]:
@@ -31,6 +36,7 @@ def n_d(spectrum: DegreeSpectrum, d: int) -> int:
 
 def acd_p(spectrum: DegreeSpectrum, p: int) -> Rational:
     """Average of the degrees in irr_p_degrees; always at least 1."""
+    _require_prime(p)
     degs = irr_p_degrees(spectrum, p)
     assert degs, "the trivial character always contributes"
     return Fraction(sum(degs), len(degs))
@@ -38,6 +44,7 @@ def acd_p(spectrum: DegreeSpectrum, p: int) -> Rational:
 
 def ell(p: int, cap: int = ELL_SEARCH_CAP) -> int:
     """Least multiplier l >= 1 such that l*p + 1 is a prime power."""
+    _require_prime(p)
     for m in range(1, cap + 1):
         if is_prime_power(m * p + 1):
             return m
@@ -52,6 +59,7 @@ def b_p(p: int) -> Rational:
 
 def a_p(p: int) -> Rational:
     """Solvability threshold: 5/2 at p = 2, 7/3 at p = 3, else (p + 1)/2."""
+    _require_prime(p)
     if p == 2:
         return Fraction(5, 2)
     if p == 3:
@@ -84,8 +92,8 @@ class AcdReport:
 
 
 def make_acd_report(spectrum: DegreeSpectrum, p: int) -> AcdReport:
-    degs = irr_p_degrees(spectrum, p)
     acd = acd_p(spectrum, p)
+    degs = irr_p_degrees(spectrum, p)
     b, a = b_p(p), a_p(p)
     return AcdReport(
         p=p, degrees=degs, acd=acd, b=b, a=a, below_b=acd < b, below_a=acd < a

@@ -18,8 +18,23 @@ import sys
 from ._version import __version__
 from .acd import a_p, b_p, ell, format_rational, make_acd_report
 from .constructions import build, parse_group_spec, spectrum_of
+from .dixon import ClassCountError
+from .groups import GroupTooLargeError
 from .liedeg import LieFamilySpec, UnsupportedFamilyError, default_matrix, prime_coverage_check
+from .numbers import FactorizationError, InvariantError
 from .verify import VerifyConfig, run_catalog
+
+# What the library raises on an input it cannot handle (ValueError covers
+# UnsupportedFamilyError): main reports each as one line and exit code 2.
+_LIBRARY_ERRORS = (
+    ValueError,
+    ArithmeticError,
+    RuntimeError,
+    ClassCountError,
+    GroupTooLargeError,
+    FactorizationError,
+    InvariantError,
+)
 
 
 def _spectrum_text(degrees) -> str:
@@ -205,7 +220,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, UnsupportedFamilyError) as exc:
+    except _LIBRARY_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

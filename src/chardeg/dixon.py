@@ -7,8 +7,20 @@ eigenvectors of the class-sum matrices over F_l are the reductions of the
 central characters, and each degree is recovered from its square modulo l
 and lifted to the unique integer below l/2.
 
+The common eigenspaces are found by splitting invariant subspaces class by
+class (Dixon 1967, Schneider 1990).  Since l does not divide |G|, each class
+matrix restricted to a subspace is diagonalisable, so a subspace it cannot
+split is exactly one where it acts as a scalar; those are kept without
+computing a characteristic polynomial.  Otherwise, with m the product of
+(x - lam) over the distinct eigenvalues and h_lam = m / (x - lam), the row
+v h_lam(R) lies in the lam-eigenspace for every v, so one Krylov sequence
+of v and one matrix product give the eigenrow of every simple eigenvalue.
+Repeated eigenvalues, and simple ones whose component in v vanishes, take
+their eigenspace from a kernel computation instead.
+
 All linear algebra is dense numpy arithmetic on int64 arrays mod l, with a
-deterministic root-splitting schedule, so repeated runs agree exactly.
+deterministic root-splitting schedule, so repeated runs agree exactly.  The
+solver's invariants raise InvariantError, so they also hold under python -O.
 """
 
 from __future__ import annotations
@@ -19,8 +31,7 @@ from math import isqrt
 import numpy as np
 
 from .groups import ENUMERATION_CAP, ClassStructure, PermGroup, conjugacy_classes
-from .numbers import is_prime, sqrt_mod
-from .perms import inverse, mult
+from .numbers import InvariantError, is_prime, sqrt_mod
 
 CLASS_CAP = 150
 
@@ -37,28 +48,15 @@ class DegreeSpectrum:
     group_order: int
 
     def __post_init__(self):
-        assert self.degrees == tuple(sorted(self.degrees))
-        assert sum(d * d for d in self.degrees) == self.group_order
+        if self.degrees != tuple(sorted(self.degrees)):
+            raise InvariantError("degrees are not sorted")
+        total = sum(d * d for d in self.degrees)
+        if total != self.group_order:
+            raise InvariantError(f"squared degrees sum to {total}, not {self.group_order}")
 
     def count(self, d: int) -> int:
         """Multiplicity of degree d in the spectrum."""
         return sum(1 for x in self.degrees if x == d)
-
-
-def class_matrix(cs: ClassStructure, i: int) -> list[list[int]]:
-    """Structure-constant matrix of class i.
-
-    Entry [j][k] counts pairs (x, y) with x in class i, y in class k and
-    xy equal to the fixed representative of class j.  Row sums equal the
-    size of class i, and row 0 is supported on the inverse class of i.
-    """
-    k = len(cs.reps)
-    M = [[0] * k for _ in range(k)]
-    for x in cs.members(i):
-        xi = inverse(x)
-        for j, z in enumerate(cs.reps):
-            M[j][cs.class_of[mult(xi, z)]] += 1
-    return M
 
 
 def choose_modulus(order: int, exponent: int, min_value: int = 0) -> int:
@@ -168,7 +166,8 @@ def _poly_exact_div(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
         out[top - db] = c
         if c:
             a[top - db : top + 1] = (a[top - db : top + 1] - c * b) % ell
-    assert db == 0 or not np.any(a[:db]), "division was not exact"
+    if db and np.any(a[:db]):
+        raise InvariantError("division was not exact")
     return _trim(out)
 
 
@@ -188,8 +187,9 @@ def _rref(M: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
         if p != r:
             A[[r, p]] = A[[p, r]]
         A[r] = A[r] * pow(int(A[r, c]), -1, ell) % ell
-        other = [i for i in range(rows) if i != r and A[i, c] != 0]
-        if other:
+        other = np.flatnonzero(A[:, c])
+        other = other[other != r]
+        if len(other):
             A[other] = (A[other] - np.outer(A[other, c], A[r])) % ell
         pivots.append(c)
         r += 1
@@ -201,12 +201,10 @@ def _nullspace(M: np.ndarray, ell: int) -> np.ndarray:
     not meant here; this is the usual kernel  {x : M x = 0}  as row vectors)."""
     R, pivots = _rref(M, ell)
     n = M.shape[1]
-    free = [c for c in range(n) if c not in pivots]
+    free = np.delete(np.arange(n), pivots)
     basis = np.zeros((len(free), n), dtype=np.int64)
-    for idx, fc in enumerate(free):
-        basis[idx, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[idx, pc] = (-int(R[r, fc])) % ell
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[:, free].T) % ell
     return basis
 
 
@@ -242,6 +240,75 @@ def _charpoly(R: np.ndarray, ell: int) -> np.ndarray:
                 p[:t] -= coeff * polys[t - 1]
         polys.append(p % ell)
     return polys[n]
+
+
+def _eigenrows(R: np.ndarray, roots: list[int], ell: int) -> np.ndarray:
+    """Row t is v h_t(R) for the all-ones row v, where h_t is the product of
+    (x - lam) over the roots other than roots[t].
+
+    For diagonalisable R whose eigenvalues are exactly the roots, row t lies
+    in the roots[t]-eigenrow space; it is zero when v has no component there.
+    """
+    r, dim = len(roots), R.shape[0]
+    lam = np.array(roots, dtype=np.int64)
+    m = np.array([1], dtype=np.int64)
+    for x in roots:
+        m = np.convolve(m, [-x, 1]) % ell
+    # h_t = m / (x - lam_t) by synthetic division, for all t at once
+    H = np.empty((r, r), dtype=np.int64)
+    H[:, r - 1] = 1
+    for j in range(r - 1, 0, -1):
+        H[:, j - 1] = (m[j] + lam * H[:, j]) % ell
+    K = np.empty((r, dim), dtype=np.int64)
+    K[0] = 1
+    for j in range(1, r):
+        K[j] = K[j - 1] @ R % ell
+    return H @ K % ell
+
+
+def _split(
+    B: np.ndarray, pivots: list[int], R: np.ndarray, ell: int
+) -> list[tuple[np.ndarray, list[int]]]:
+    """Split the space with echelon basis B into the eigenspaces of the
+    coefficient action c -> c R, each in reduced echelon form.
+
+    R must be diagonalisable, which holds for class matrices because l does
+    not divide |G|: a scalar R keeps the space whole, and a non-scalar R
+    with a single eigenvalue is an error.
+    """
+    dim = R.shape[0]
+    if np.array_equal(R, R[0, 0] * np.eye(dim, dtype=np.int64)):
+        return [(B, pivots)]
+    charpoly = _charpoly(R, ell)
+    roots = _distinct_roots(charpoly, ell)
+    if len(roots) == 1:
+        raise InvariantError("non-scalar class matrix with a single eigenvalue")
+    U = _eigenrows(R, roots, ell)
+    lam = np.array(roots, dtype=np.int64)
+    if not np.array_equal(U @ R % ell, lam[:, None] * U % ell):
+        raise InvariantError("projected row is not an eigenrow")
+    deriv = charpoly[1:] * np.arange(1, len(charpoly), dtype=np.int64) % ell
+    slope = np.zeros_like(lam)
+    for c in deriv[::-1]:
+        slope = (slope * lam + c) % ell
+    spaces: list[tuple[np.ndarray, list[int]]] = []
+    total = 0
+    for t, x in enumerate(roots):
+        if slope[t] and U[t].any():
+            # a simple root: its eigenrow space is the line through U[t]
+            w = U[t] @ B % ell
+            p = int(np.flatnonzero(w)[0])
+            spaces.append(((w * pow(int(w[p]), -1, ell) % ell)[None, :], [p]))
+            total += 1
+        else:
+            # coefficient rows transform as c -> c R, so eigenrows for x
+            # form the kernel of (R - x I) transposed
+            K = _nullspace((R - x * np.eye(dim, dtype=np.int64)).T % ell, ell)
+            total += K.shape[0]
+            spaces.append(_rref(K @ B % ell, ell))
+    if total != dim:
+        raise InvariantError("eigenspaces do not fill the space")
+    return spaces
 
 
 class _ClassMatrixBuilder:
@@ -292,38 +359,28 @@ def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpect
     for i in class_order:
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
-        A = builder.matrix(i) % ell
-        At = A.T.copy()
+        At = builder.matrix(i).T % ell
         next_spaces: list[tuple[np.ndarray, list[int]]] = []
         for B, pivots in spaces:
-            dim = B.shape[0]
-            if dim == 1:
+            if B.shape[0] == 1:
                 next_spaces.append((B, pivots))
                 continue
             W = B @ At % ell
             R = W[:, pivots]
-            assert np.array_equal(W, R @ B % ell), "space was not invariant"
-            roots = _distinct_roots(_charpoly(R, ell), ell)
-            if len(roots) == 1:
-                next_spaces.append((B, pivots))
-                continue
-            total = 0
-            for lam in roots:
-                # coefficient rows transform as c -> c R, so eigenrows for lam
-                # form the kernel of (R - lam I) transposed
-                K = _nullspace((R - lam * np.eye(dim, dtype=np.int64)).T % ell, ell)
-                total += K.shape[0]
-                next_spaces.append(_rref(K @ B % ell, ell))
-            assert total == dim, "eigenspaces do not fill the space"
+            if not np.array_equal(W, R @ B % ell):
+                raise InvariantError("space was not invariant")
+            next_spaces.extend(_split(B, pivots, R, ell))
         spaces = next_spaces
-    assert all(B.shape[0] == 1 for B, _ in spaces), "splitting incomplete"
+    if any(B.shape[0] != 1 for B, _ in spaces):
+        raise InvariantError("splitting incomplete")
 
     inv_sizes = [pow(h, -1, ell) for h in cs.sizes]
     degrees = []
     bound = isqrt(order)
     for B, _ in spaces:
         v = B[0]
-        assert v[0] != 0, "central character vanishes on the identity class"
+        if v[0] == 0:
+            raise InvariantError("central character vanishes on the identity class")
         omega = v * pow(int(v[0]), -1, ell) % ell
         s = 0
         for j in range(k):
@@ -331,10 +388,12 @@ def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpect
         d2 = order * pow(s, -1, ell) % ell
         d = sqrt_mod(d2, ell)
         d = min(d, ell - d)
-        assert 1 <= d <= bound and order % d == 0, "degree lift out of range"
+        if not (1 <= d <= bound and order % d == 0):
+            raise InvariantError(f"degree lift {d} out of range for order {order}")
         degrees.append(d)
+    if len(degrees) != k:
+        raise InvariantError(f"{len(degrees)} degrees for {k} classes")
     degrees.sort()
-    assert len(degrees) == k
     return DegreeSpectrum(tuple(degrees), order)
 
 
@@ -357,7 +416,8 @@ def degree_spectrum(
         for sp in spectra:
             degrees = [a * b for a in degrees for b in sp.degrees]
             order *= sp.group_order
-        assert order == G.order, "factor orders disagree with the product group"
+        if order != G.order:
+            raise InvariantError("factor orders disagree with the product group")
         return DegreeSpectrum(tuple(sorted(degrees)), order)
     if G.is_abelian():
         return DegreeSpectrum((1,) * G.order, G.order)

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, prod
 
-from .numbers import factorize, is_prime_power, prime_power_decomposition
+from .numbers import InvariantError, factorize, is_prime_power, prime_power_decomposition
 
 CYCLOTOMIC_CAP = 200
 _N_CAP = 12
@@ -528,10 +528,12 @@ def witness_degrees(spec: LieFamilySpec) -> WitnessSet:
     witnesses = []
     for label, value in pairs:
         d = _as_int(label, Fraction(value))
-        assert order % d == 0, f"witness {label} = {d} does not divide |G| = {order}"
+        if order % d:
+            raise InvariantError(f"witness {label} = {d} does not divide |G| = {order}")
         witnesses.append(Witness(label, d))
     st = q ** _steinberg_exponent(spec)
-    assert order % st == 0
+    if order % st:
+        raise InvariantError(f"steinberg degree {st} does not divide |G| = {order}")
     return WitnessSet(
         spec=spec,
         order=order,

@@ -21,6 +21,13 @@ class FactorizationError(Exception):
     """Raised when a cofactor resists the configured factorization effort."""
 
 
+class InvariantError(AssertionError):
+    """Raised when a computed result breaks an invariant it must satisfy.
+
+    The checks raise it explicitly instead of using ``assert``, so they
+    still run under ``python -O``."""
+
+
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test with fixed bases."""
     if n < 2:
@@ -28,6 +35,9 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        # a composite below 41^2 has a prime factor of at most 37
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:

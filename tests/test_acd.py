@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chardeg.acd import (
@@ -93,6 +94,18 @@ def test_a_values():
     assert a_p(5) == Fraction(3)
     assert a_p(7) == Fraction(4)
     assert a_p(11) == Fraction(6)
+
+
+def test_non_prime_p_is_rejected():
+    sp = spectrum("sym:4")
+    for p in [0, 1, 4, -3]:
+        with pytest.raises(ValueError, match="not a prime"):
+            acd_p(sp, p)
+        with pytest.raises(ValueError, match="not a prime"):
+            make_acd_report(sp, p)
+        for fn in (ell, b_p, a_p):
+            with pytest.raises(ValueError, match="not a prime"):
+                fn(p)
 
 
 def test_b_p_strictly_between_one_and_two():

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from chardeg import cli
 from chardeg.cli import main
+from chardeg.numbers import FactorizationError, InvariantError
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +41,38 @@ def test_table_rejects_bad_spec(capsys):
     code, _, err = run_cli(capsys, "table", "sporadic:1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "sym:9"], "exceeds cap"),
+        (["table", "dihedral:400"], "203 classes exceed the solver cap"),
+        (["acd", "sym:4", "-p", "0"], "p = 0 is not a prime"),
+        (["acd", "sym:4", "-p", "4"], "p = 4 is not a prime"),
+        (["ell", "-p", "4"], "p = 4 is not a prime"),
+        (["ell", "-p", "1"], "p = 1 is not a prime"),
+        (["ell", "-p", "-3"], "p = -3 is not a prime"),
+    ],
+)
+def test_library_errors_are_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc", [InvariantError("lift out of range"), FactorizationError("stuck"), RuntimeError("no progress")]
+)
+def test_every_library_error_exits_2(capsys, monkeypatch, exc):
+    def fail(built):
+        raise exc
+
+    monkeypatch.setattr(cli, "spectrum_of", fail)
+    code, out, err = run_cli(capsys, "table", "sym:4")
+    assert (code, out, err) == (2, "", f"error: {exc}\n")
 
 
 def test_acd_text(capsys):

@@ -6,6 +6,12 @@ matrices over the complex numbers; the values asserted here were produced
 by that oracle and cross-checked before being pinned.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,14 +19,17 @@ from chardeg.dixon import (
     CLASS_CAP,
     ClassCountError,
     DegreeSpectrum,
+    _ClassMatrixBuilder,
+    _eigenrows,
+    _split,
     choose_modulus,
-    class_matrix,
     degree_spectrum,
     dixon_degrees,
 )
+from chardeg import dixon
 from chardeg.constructions import spectrum_of
 from chardeg.groups import PermGroup, conjugacy_classes
-from chardeg.numbers import is_prime
+from chardeg.numbers import InvariantError, is_prime
 
 from oracle import oracle_degrees
 from support import built_of, group_of
@@ -31,8 +40,10 @@ def spectrum(spec: str) -> tuple[int, ...]:
 
 
 def test_degree_spectrum_invariants_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(InvariantError):
         DegreeSpectrum((1, 2), 6)
+    with pytest.raises(InvariantError):
+        DegreeSpectrum((3, 1), 10)
     sp = DegreeSpectrum((1, 1, 2), 6)
     assert sp.count(1) == 2 and sp.count(2) == 1 and sp.count(3) == 0
 
@@ -47,24 +58,23 @@ def test_choose_modulus():
 
 def test_class_matrix_stats():
     cs = conjugacy_classes(group_of("sym:3"))
+    builder = _ClassMatrixBuilder(cs)
     transposition_class = next(j for j, s in enumerate(cs.sizes) if s == 3)
-    M = class_matrix(cs, transposition_class)
-    # row sums are the class size; row 0 lives on the inverse class
-    for row in M:
-        assert sum(row) == 3
-    assert M[0][transposition_class] == 3
-    assert sum(M[0]) == 3
+    A = builder.matrix(transposition_class)
+    # column sums are the class size; column 0 lives on the inverse class
+    assert A.sum(axis=0).tolist() == [3] * len(cs.reps)
+    assert A[transposition_class, 0] == 3
+    assert A[:, 0].sum() == 3
 
-    identity_matrix = class_matrix(cs, 0)
-    for j, row in enumerate(identity_matrix):
-        assert row == [1 if k == j else 0 for k in range(len(cs.reps))]
+    assert np.array_equal(builder.matrix(0), np.eye(len(cs.reps), dtype=np.int64))
 
 
 def test_class_matrix_row_zero_inverse_class():
     cs = conjugacy_classes(group_of("frob:7:1:3"))
+    builder = _ClassMatrixBuilder(cs)
     for i in range(len(cs.reps)):
-        M = class_matrix(cs, i)
-        for k, entry in enumerate(M[0]):
+        A = builder.matrix(i)
+        for k, entry in enumerate(A[:, 0]):
             expected = cs.sizes[i] if k == cs.inverse_class[i] else 0
             assert entry == expected
 
@@ -153,3 +163,111 @@ def test_random_subgroups_of_sym5_match_oracle(gens):
     sp = degree_spectrum(G)
     assert sum(d * d for d in sp.degrees) == G.order
     assert sp.degrees == oracle_degrees(G.generators, G.degree)
+
+
+def first_class_action(spec: str) -> tuple[np.ndarray, int]:
+    """The splitter's first class matrix acting on coefficient rows of the
+    whole space, and the modulus it is reduced by."""
+    cs = conjugacy_classes(group_of(spec))
+    k = len(cs.reps)
+    ell = choose_modulus(cs.order, cs.exponent(), min_value=k)
+    i = min(range(1, k), key=lambda j: (cs.sizes[j], j))
+    return _ClassMatrixBuilder(cs).matrix(i).T % ell, ell
+
+
+def kernel_split(R: np.ndarray, ell: int) -> list[tuple[np.ndarray, list[int]]]:
+    """Reference split of the whole space: one kernel per eigenvalue."""
+    dim = R.shape[0]
+    roots = dixon._distinct_roots(dixon._charpoly(R, ell), ell)
+    return [
+        dixon._rref(dixon._nullspace((R - lam * np.eye(dim, dtype=np.int64)).T % ell, ell), ell)
+        for lam in roots
+    ]
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "psl2:7", "dihedral:12", "extraspecial:3", "agl1:9"])
+def test_split_matches_kernel_reference(spec):
+    R, ell = first_class_action(spec)
+    k = R.shape[0]
+    spaces = _split(np.eye(k, dtype=np.int64), list(range(k)), R, ell)
+    expected = kernel_split(R, ell)
+    assert [p for _, p in spaces] == [p for _, p in expected]
+    for (B, _), (E, _) in zip(spaces, expected):
+        assert np.array_equal(B, E)
+
+
+def test_repeated_root_falls_back_to_the_kernel(monkeypatch):
+    # The central class of 5^{1+2} has eigenvalue 1 on the 25 linear
+    # characters beside four simple roots on the degree-5 characters.  Those
+    # characters sum to zero over the central classes, so the all-ones row
+    # has no component in their eigenspaces: all five take the kernel path.
+    R, ell = first_class_action("extraspecial:5")
+    kernels = []
+    nullspace = dixon._nullspace
+    monkeypatch.setattr(dixon, "_nullspace", lambda M, ell: kernels.append(M) or nullspace(M, ell))
+    spaces = _split(np.eye(29, dtype=np.int64), list(range(29)), R, ell)
+    assert sorted(B.shape[0] for B, _ in spaces) == [1, 1, 1, 1, 25]
+    assert len(kernels) == 5
+    assert spectrum("extraspecial:5") == (1,) * 25 + (5,) * 4
+
+
+def test_dihedral_295_closed_form():
+    assert spectrum("dihedral:295") == (1, 1) + (2,) * 147
+
+
+def test_scalar_block_is_kept_unsplit(monkeypatch):
+    def no_charpoly(R, ell):
+        raise AssertionError("a scalar block needs no characteristic polynomial")
+
+    monkeypatch.setattr(dixon, "_charpoly", no_charpoly)
+    B = np.array([[1, 0, 4], [0, 1, 2]], dtype=np.int64)
+    pivots = [0, 1]
+    spaces = _split(B, pivots, 5 * np.eye(2, dtype=np.int64), 7)
+    assert len(spaces) == 1 and spaces[0][0] is B and spaces[0][1] is pivots
+
+
+def test_projected_rows_are_eigenrows():
+    for spec in ["psl2:7", "sym:5", "frob:7:1:3"]:
+        R, ell = first_class_action(spec)
+        roots = dixon._distinct_roots(dixon._charpoly(R, ell), ell)
+        U = _eigenrows(R, roots, ell)
+        assert U.shape == (len(roots), R.shape[0])
+        for u, lam in zip(U, roots):
+            assert u.any()
+            assert np.array_equal(u @ R % ell, lam * u % ell)
+
+
+def test_split_rejects_non_diagonalisable_blocks():
+    ell = 7
+    jordan = np.array([[2, 1], [0, 2]], dtype=np.int64)
+    with pytest.raises(InvariantError, match="single eigenvalue"):
+        _split(np.eye(2, dtype=np.int64), [0, 1], jordan, ell)
+    # two eigenvalues, but a Jordan block for 1: v (R - 2I) is no eigenrow
+    R = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=np.int64)
+    with pytest.raises(InvariantError, match="eigenrow"):
+        _split(np.eye(3, dtype=np.int64), [0, 1, 2], R, ell)
+
+
+def test_invariants_hold_under_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = "\n".join(
+        [
+            "from chardeg.constructions import build, parse_group_spec, spectrum_of",
+            "from chardeg.dixon import DegreeSpectrum",
+            "from chardeg.numbers import InvariantError",
+            "assert not __debug__",
+            "try:",
+            "    DegreeSpectrum((3, 1), 5)",
+            "except InvariantError:",
+            "    pass",
+            "else:",
+            "    raise SystemExit('unsorted spectrum accepted')",
+            "print(spectrum_of(build(parse_group_spec('sym:4'))).degrees)",
+        ]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "(1, 1, 2, 3, 3)"
