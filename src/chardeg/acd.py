@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dixon import DegreeSpectrum
-from .numbers import is_prime, is_prime_power
+from .numbers import InvariantError, is_prime, is_prime_power
 
 Rational = Fraction
 
@@ -38,7 +38,8 @@ def acd_p(spectrum: DegreeSpectrum, p: int) -> Rational:
     """Average of the degrees in irr_p_degrees; always at least 1."""
     _require_prime(p)
     degs = irr_p_degrees(spectrum, p)
-    assert degs, "the trivial character always contributes"
+    if not degs:
+        raise InvariantError("spectrum lacks the degree 1 of the trivial character")
     return Fraction(sum(degs), len(degs))
 
 

@@ -16,7 +16,7 @@ from math import factorial
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
 from .fields import finite_field
 from .groups import MAX_POINTS, PermGroup
-from .numbers import is_prime, is_prime_power, prime_power_decomposition
+from .numbers import InvariantError, is_prime, is_prime_power, prime_power_decomposition
 from .perms import Perm, from_cycles
 
 ABELIAN_PAIR_CAP = 32
@@ -154,7 +154,8 @@ def frobenius(r: int, m: int, d: int) -> tuple[PermGroup, SplitExtensionData]:
         complement = ()
         matrices = ()
     G = PermGroup(list(kernel) + list(complement), degree=q)
-    assert G.order == q * d
+    if G.order != q * d:
+        raise InvariantError(f"affine group has order {G.order}, not {q * d}")
     return G, SplitExtensionData(r, m, kernel, complement, matrices)
 
 
@@ -201,7 +202,8 @@ def psl2(q: int, supported: frozenset[int] = PSL2_SUPPORTED) -> PermGroup:
     gens.append(matrix_perm(((0, 1), (F.neg(1), 0))))
     G = PermGroup(gens, degree=q + 1)
     expected = q * (q * q - 1) // (2 if q % 2 else 1)
-    assert G.order == expected
+    if G.order != expected:
+        raise InvariantError(f"PSL(2, {q}) has order {G.order}, not {expected}")
     return G
 
 
@@ -225,7 +227,8 @@ def extraspecial(p: int) -> PermGroup:
         return tuple(images)
 
     G = PermGroup([right_mult(1, 0, 0), right_mult(0, 1, 0)], degree=cube)
-    assert G.order == cube
+    if G.order != cube:
+        raise InvariantError(f"extraspecial group has order {G.order}, not {cube}")
     return G
 
 
@@ -354,7 +357,10 @@ def build(recipe: GroupRecipe) -> BuiltGroup:
         built = BuiltGroup(recipe, extraspecial(recipe.params[0]))
     else:
         raise ValueError(f"unknown group kind {recipe.kind!r}")
-    assert built.group.order == recipe.order, "declared order mismatch"
+    if built.group.order != recipe.order:
+        raise InvariantError(
+            f"{recipe.kind} recipe declares order {recipe.order}, built {built.group.order}"
+        )
     return built
 
 

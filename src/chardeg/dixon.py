@@ -10,17 +10,23 @@ and lifted to the unique integer below l/2.
 The common eigenspaces are found by splitting invariant subspaces class by
 class (Dixon 1967, Schneider 1990).  Since l does not divide |G|, each class
 matrix restricted to a subspace is diagonalisable, so a subspace it cannot
-split is exactly one where it acts as a scalar; those are kept without
-computing a characteristic polynomial.  Otherwise, with m the product of
-(x - lam) over the distinct eigenvalues and h_lam = m / (x - lam), the row
-v h_lam(R) lies in the lam-eigenspace for every v, so one Krylov sequence
-of v and one matrix product give the eigenrow of every simple eigenvalue.
-Repeated eigenvalues, and simple ones whose component in v vanishes, take
-their eigenspace from a kernel computation instead.
+split is exactly one where it acts as a scalar.  Every open subspace is
+spanned by central characters w with w[0] = 1, so its reduced echelon basis
+B pivots first on column 0, and class i acts on it as the scalar B[0, i]
+exactly when B[1:, i] is zero.  A class whose column is zero below the
+first row of every open subspace splits nothing, and its matrix is never
+built.  Otherwise, with m the product of (x - lam) over the distinct
+eigenvalues and h_lam = m / (x - lam), the row v h_lam(R) lies in the
+lam-eigenspace for every v, so one Krylov sequence of v and one matrix
+product give the eigenrow of every simple eigenvalue.  Repeated
+eigenvalues, and simple ones whose component in v vanishes, take their
+eigenspace from a kernel computation instead.  The eigenvalues are the
+points of F_l where the characteristic polynomial vanishes, found by one
+Horner evaluation over all of F_l: l times the degree multiply-adds.
 
-All linear algebra is dense numpy arithmetic on int64 arrays mod l, with a
-deterministic root-splitting schedule, so repeated runs agree exactly.  The
-solver's invariants raise InvariantError, so they also hold under python -O.
+All linear algebra is dense numpy arithmetic on int64 arrays mod l, so
+repeated runs agree exactly.  The solver's invariants raise InvariantError,
+so they also hold under python -O.
 """
 
 from __future__ import annotations
@@ -68,107 +74,19 @@ def choose_modulus(order: int, exponent: int, min_value: int = 0) -> int:
         ell += exponent
 
 
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if len(nz) else a[:1]
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    return _trim(np.convolve(a, b) % ell)
-
-
-def _poly_monic(a: np.ndarray, ell: int) -> np.ndarray:
-    a = _trim(a % ell)
-    lead = int(a[-1])
-    if lead != 1:
-        a = a * pow(lead, -1, ell) % ell
-    return a
-
-
-def _poly_mod(a: np.ndarray, f: np.ndarray, ell: int) -> np.ndarray:
-    """Remainder of a modulo monic f."""
-    a = a.copy() % ell
-    df = len(f) - 1
-    for top in range(len(a) - 1, df - 1, -1):
-        c = int(a[top])
-        if c:
-            a[top - df : top + 1] = (a[top - df : top + 1] - c * f) % ell
-    return _trim(a)
-
-
-def _poly_gcd(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    a, b = _trim(a % ell), _trim(b % ell)
-    while len(b) > 1 or b[0] != 0:
-        b = _poly_monic(b, ell)
-        a, b = b, _poly_mod(a, b, ell)
-    return _poly_monic(a, ell)
-
-
-def _poly_powmod(base: np.ndarray, e: int, f: np.ndarray, ell: int) -> np.ndarray:
-    result = np.array([1], dtype=np.int64)
-    base = _poly_mod(base, f, ell)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mul(result, base, ell), f, ell)
-        base = _poly_mod(_poly_mul(base, base, ell), f, ell)
-        e >>= 1
-    return result
+def _polyval(c: np.ndarray, x: np.ndarray, ell: int) -> np.ndarray:
+    """Values mod l of the polynomial with ascending coefficients c at the
+    points x, by Horner's rule."""
+    v = np.zeros_like(x)
+    for coeff in c[::-1] % ell:
+        v = (v * x + coeff) % ell
+    return v
 
 
 def _distinct_roots(c: np.ndarray, ell: int) -> list[int]:
-    """All roots in F_l of a polynomial known to split over F_l, each once."""
-    c = _poly_monic(c, ell)
-    deriv = _trim((c[1:] * np.arange(1, len(c), dtype=np.int64)) % ell)
-    square_part = _poly_gcd(c, deriv, ell)
-    f = _poly_exact_div(c, square_part, ell) if len(square_part) > 1 else c
-    roots: list[int] = []
-    stack = [f]
-    shift = 0
-    half = (ell - 1) // 2
-    while stack:
-        g = stack.pop()
-        deg = len(g) - 1
-        if deg == 0:
-            continue
-        if deg == 1:
-            roots.append((-int(g[0])) % ell)
-            continue
-        if deg == 2:
-            b, c0 = int(g[1]), int(g[0])
-            disc = (b * b - 4 * c0) % ell
-            r = sqrt_mod(disc, ell)
-            inv2 = pow(2, -1, ell)
-            roots.append((-b + r) * inv2 % ell)
-            roots.append((-b - r) * inv2 % ell)
-            continue
-        while True:
-            base = np.array([shift, 1], dtype=np.int64)
-            shift += 1
-            if shift > 4 * ell:
-                raise RuntimeError("root splitting failed to make progress")
-            w = _poly_powmod(base, half, g, ell).copy()
-            w[0] = (w[0] - 1) % ell
-            h = _poly_gcd(g, w, ell)
-            if 0 < len(h) - 1 < deg:
-                stack.append(h)
-                stack.append(_poly_exact_div(g, h, ell))
-                break
-    return sorted(roots)
-
-
-def _poly_exact_div(a: np.ndarray, b: np.ndarray, ell: int) -> np.ndarray:
-    """Quotient a / b for monic b dividing a exactly."""
-    a = a.copy() % ell
-    db = len(b) - 1
-    out = np.zeros(len(a) - db, dtype=np.int64)
-    for top in range(len(a) - 1, db - 1, -1):
-        c = int(a[top])
-        out[top - db] = c
-        if c:
-            a[top - db : top + 1] = (a[top - db : top + 1] - c * b) % ell
-    if db and np.any(a[:db]):
-        raise InvariantError("division was not exact")
-    return _trim(out)
+    """The roots in F_l of the polynomial c, each once and in ascending
+    order, found by evaluating c at every point of F_l at once."""
+    return np.flatnonzero(_polyval(c, np.arange(ell, dtype=np.int64), ell) == 0).tolist()
 
 
 def _rref(M: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
@@ -287,10 +205,7 @@ def _split(
     lam = np.array(roots, dtype=np.int64)
     if not np.array_equal(U @ R % ell, lam[:, None] * U % ell):
         raise InvariantError("projected row is not an eigenrow")
-    deriv = charpoly[1:] * np.arange(1, len(charpoly), dtype=np.int64) % ell
-    slope = np.zeros_like(lam)
-    for c in deriv[::-1]:
-        slope = (slope * lam + c) % ell
+    slope = _polyval(charpoly[1:] * np.arange(1, len(charpoly), dtype=np.int64), lam, ell)
     spaces: list[tuple[np.ndarray, list[int]]] = []
     total = 0
     for t, x in enumerate(roots):
@@ -342,23 +257,21 @@ class _ClassMatrixBuilder:
         return A
 
 
-def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpectrum:
-    """Character degree spectrum from a class structure."""
+def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, list[int]]]:
+    """The lines spanned by the central characters mod l, each in reduced
+    echelon form, found by intersecting eigenspaces class by class."""
     k = len(cs.reps)
-    if k > class_cap:
-        raise ClassCountError(f"{k} classes exceed the solver cap of {class_cap}")
-    order = cs.order
-    if k == 1:
-        return DegreeSpectrum((1,), 1)
-    ell = choose_modulus(order, cs.exponent(), min_value=k)
     builder = _ClassMatrixBuilder(cs)
-
-    # Intersect eigenspaces class by class until all common spaces are lines.
     spaces: list[tuple[np.ndarray, list[int]]] = [_rref(np.eye(k, dtype=np.int64), ell)]
     class_order = sorted(range(1, k), key=lambda i: (cs.sizes[i], i))
     for i in class_order:
-        if all(B.shape[0] == 1 for B, _ in spaces):
+        open_blocks = [(B, pivots) for B, pivots in spaces if B.shape[0] > 1]
+        if not open_blocks:
             break
+        if any(pivots[0] != 0 for _, pivots in open_blocks):
+            raise InvariantError("open block does not pivot on the identity class")
+        if not any(B[1:, i].any() for B, _ in open_blocks):
+            continue
         At = builder.matrix(i).T % ell
         next_spaces: list[tuple[np.ndarray, list[int]]] = []
         for B, pivots in spaces:
@@ -369,11 +282,27 @@ def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpect
             R = W[:, pivots]
             if not np.array_equal(W, R @ B % ell):
                 raise InvariantError("space was not invariant")
+            if not B[1:, i].any():
+                # class i must act on this block as the scalar B[0, i]
+                if not np.array_equal(R, B[0, i] * np.eye(len(pivots), dtype=np.int64)):
+                    raise InvariantError("class is not the scalar its column predicts")
             next_spaces.extend(_split(B, pivots, R, ell))
         spaces = next_spaces
     if any(B.shape[0] != 1 for B, _ in spaces):
         raise InvariantError("splitting incomplete")
+    return spaces
 
+
+def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpectrum:
+    """Character degree spectrum from a class structure."""
+    k = len(cs.reps)
+    if k > class_cap:
+        raise ClassCountError(f"{k} classes exceed the solver cap of {class_cap}")
+    order = cs.order
+    if k == 1:
+        return DegreeSpectrum((1,), 1)
+    ell = choose_modulus(order, cs.exponent(), min_value=k)
+    spaces = _common_eigenspaces(cs, ell)
     inv_sizes = [pow(h, -1, ell) for h in cs.sizes]
     degrees = []
     bound = isqrt(order)

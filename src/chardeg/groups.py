@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass, field
 from math import lcm
 
+from .numbers import InvariantError
 from .perms import (
     Perm,
     check_bijection,
@@ -298,7 +299,8 @@ class PermGroup:
                                     f"group too large for enumeration (cap {cap})"
                                 )
                 frontier = nxt
-            assert len(seen) == self.order, "closure disagrees with the stabilizer chain"
+            if len(seen) != self.order:
+                raise InvariantError("closure disagrees with the stabilizer chain")
             self._elements = sorted(seen)
         return self._elements
 
@@ -356,8 +358,10 @@ def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> ClassStructur
         reps.append(el)
         sizes.append(len(members))
     inverse_class = tuple(class_of[inverse(r)] for r in reps)
-    assert inverse_class[0] == 0 and sum(sizes) == G.order
-    assert all(inverse_class[inverse_class[j]] == j for j in range(len(reps)))
+    if inverse_class[0] != 0 or sum(sizes) != G.order:
+        raise InvariantError("class sizes do not partition the group")
+    if any(inverse_class[inverse_class[j]] != j for j in range(len(reps))):
+        raise InvariantError("inverse classes are not an involution")
     return ClassStructure(
         group=G,
         reps=tuple(reps),

@@ -52,7 +52,8 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert self.coeffs and (len(self.coeffs) == 1 or self.coeffs[-1] != 0)
+        if not self.coeffs or (len(self.coeffs) > 1 and self.coeffs[-1] == 0):
+            raise InvariantError(f"polynomial coefficients {self.coeffs} are not trimmed")
 
     @property
     def degree(self) -> int:
@@ -73,11 +74,13 @@ class IntPoly:
         out = [0] * (len(rem) - len(div) + 1)
         for top in range(len(rem) - 1, len(div) - 2, -1):
             c, extra = divmod(rem[top], div[-1])
-            assert extra == 0, "non-exact polynomial division"
+            if extra:
+                raise InvariantError("non-exact polynomial division")
             out[top - len(div) + 1] = c
             for i, y in enumerate(div):
                 rem[top - len(div) + 1 + i] -= c * y
-        assert all(x == 0 for x in rem), "non-exact polynomial division"
+        if any(rem):
+            raise InvariantError("non-exact polynomial division")
         return IntPoly(_trim(out))
 
     def eval(self, x: int) -> int:
@@ -583,7 +586,8 @@ def prime_coverage_check(spec: LieFamilySpec) -> CoverageResult:
     for p in sorted(candidates):
         while residue % p == 0:
             residue //= p
-    assert residue == 1, "structural pieces missed a prime of the order"
+    if residue != 1:
+        raise InvariantError("structural pieces missed a prime of the order")
     primes_of_order = tuple(p for p in sorted(candidates) if order % p == 0)
     covered = tuple(
         p

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .groups import ENUMERATION_CAP, MAX_POINTS, PermGroup
+from .numbers import InvariantError
 from .perms import (
     Perm,
     commutator,
@@ -132,7 +133,8 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
             if not is_identity(h):
                 gens.append(h)
         H = PermGroup(gens, degree=G.degree)
-        assert H.order == pp
+        if H.order != pp:
+            raise InvariantError(f"abelian Sylow {p}-subgroup has order {H.order}, not {pp}")
         return SubgroupHandle(H, G)
 
     def p_element_from(g: Perm) -> Perm | None:
@@ -170,7 +172,8 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
             x = p_element_from(g)
             if x is not None:
                 try_adjoin(x)
-    assert len(closure) == pp, "Sylow search failed to reach the full p-part"
+    if len(closure) != pp:
+        raise InvariantError("Sylow search failed to reach the full p-part")
     return SubgroupHandle(PermGroup(gens, degree=G.degree), G)
 
 
@@ -229,12 +232,14 @@ def quotient_group(G: PermGroup, N: SubgroupHandle, max_points: int = MAX_POINTS
             if d not in seen:
                 seen.add(d)
                 cosets.append(d)
-    assert len(cosets) == index
+    if len(cosets) != index:
+        raise InvariantError(f"{len(cosets)} cosets found for index {index}")
     cosets.sort()
     pos = {c: i for i, c in enumerate(cosets)}
     gens = [tuple(pos[canon(mult(a, c))] for c in cosets) for a in G.generators]
     Q = PermGroup(gens, degree=index)
-    assert Q.order == index
+    if Q.order != index:
+        raise InvariantError(f"quotient has order {Q.order}, not {index}")
     return Q
 
 

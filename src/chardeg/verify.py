@@ -35,7 +35,7 @@ from .constructions import BuiltGroup, SplitExtensionData, build, iter_catalog, 
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
 from .groups import ENUMERATION_CAP, PermGroup
 from .liedeg import default_matrix, prime_coverage_check
-from .numbers import prime_divisors
+from .numbers import InvariantError, prime_divisors
 from .subgroups import (
     SubgroupHandle,
     derived_subgroup,
@@ -318,7 +318,8 @@ def dual_orbit_sizes(data: SplitExtensionData) -> list[int]:
                     seen.add(w)
                     orbit.append(w)
         sizes.append(len(orbit))
-    assert sum(sizes) == r**m - 1
+    if sum(sizes) != r**m - 1:
+        raise InvariantError("orbits do not partition the nonzero vectors")
     return sorted(sizes)
 
 

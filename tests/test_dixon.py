@@ -20,6 +20,7 @@ from chardeg.dixon import (
     ClassCountError,
     DegreeSpectrum,
     _ClassMatrixBuilder,
+    _distinct_roots,
     _eigenrows,
     _split,
     choose_modulus,
@@ -213,6 +214,96 @@ def test_repeated_root_falls_back_to_the_kernel(monkeypatch):
 
 def test_dihedral_295_closed_form():
     assert spectrum("dihedral:295") == (1, 1) + (2,) * 147
+
+
+def test_classes_that_split_nothing_build_no_matrix(monkeypatch):
+    # The first rotation class separates the 147 degree-2 characters; the
+    # trivial and sign characters agree on every rotation class, so only
+    # the reflection class, sorted last, is needed to split them.
+    built = []
+    matrix = _ClassMatrixBuilder.matrix
+    monkeypatch.setattr(
+        _ClassMatrixBuilder, "matrix", lambda self, i: built.append(i) or matrix(self, i)
+    )
+    cs = conjugacy_classes(group_of("dihedral:295"))
+    assert dixon_degrees(cs).degrees == (1, 1) + (2,) * 147
+    assert len(built) == 2
+    assert cs.sizes[built[-1]] == 295
+
+
+def every_class_eigenspaces(cs) -> list[tuple[np.ndarray, list[int]]]:
+    """Reference splitting loop: build every class matrix, in the solver's
+    class order, while any space is open, and split every open space."""
+    k = len(cs.reps)
+    ell = choose_modulus(cs.order, cs.exponent(), min_value=k)
+    builder = _ClassMatrixBuilder(cs)
+    spaces = [dixon._rref(np.eye(k, dtype=np.int64), ell)]
+    for i in sorted(range(1, k), key=lambda j: (cs.sizes[j], j)):
+        if all(B.shape[0] == 1 for B, _ in spaces):
+            break
+        At = builder.matrix(i).T % ell
+        next_spaces = []
+        for B, pivots in spaces:
+            if B.shape[0] == 1:
+                next_spaces.append((B, pivots))
+            else:
+                next_spaces.extend(_split(B, pivots, (B @ At % ell)[:, pivots], ell))
+        spaces = next_spaces
+    return spaces
+
+
+@pytest.mark.parametrize(
+    "spec", ["sym:5", "psl2:7", "extraspecial:5", "agl1:27", "frob:43:1:42", "dihedral:200"]
+)
+def test_skipping_classes_keeps_the_final_spaces(spec):
+    cs = conjugacy_classes(group_of(spec))
+    ell = choose_modulus(cs.order, cs.exponent(), min_value=len(cs.reps))
+    spaces = dixon._common_eigenspaces(cs, ell)
+    expected = every_class_eigenspaces(cs)
+    assert [p for _, p in spaces] == [p for _, p in expected]
+    for (B, _), (E, _) in zip(spaces, expected):
+        assert np.array_equal(B, E)
+
+
+def test_open_block_must_pivot_on_the_identity_class(monkeypatch):
+    # dropping the leading row of the 25-dimensional block of 5^{1+2}
+    # leaves a block whose first pivot is not column 0
+    split = dixon._split
+    monkeypatch.setattr(
+        dixon,
+        "_split",
+        lambda *args: [(B[1:], p[1:]) if len(p) > 1 else (B, p) for B, p in split(*args)],
+    )
+    with pytest.raises(InvariantError, match="identity class"):
+        dixon_degrees(conjugacy_classes(group_of("extraspecial:5")))
+
+
+def test_class_must_be_the_scalar_its_column_predicts(monkeypatch):
+    # Class 2 of S_3 x S_3 is central, so it keeps every space invariant,
+    # but it is not scalar on a space where column 1 predicts a scalar.
+    matrix = _ClassMatrixBuilder.matrix
+    monkeypatch.setattr(
+        _ClassMatrixBuilder, "matrix", lambda self, i: matrix(self, 2 if i == 1 else i)
+    )
+    with pytest.raises(InvariantError, match="scalar its column predicts"):
+        dixon_degrees(conjugacy_classes(group_of("sym:3xsym:3")))
+
+
+def test_distinct_roots_finds_each_root_of_f_l_once():
+    ell = 13
+
+    def poly(*roots):
+        c = np.array([1], dtype=np.int64)
+        for r in roots:
+            c = np.convolve(c, [-r, 1]) % ell
+        return c
+
+    assert _distinct_roots(poly(3, 3, 3, 5, 5, 12), ell) == [3, 5, 12]
+    assert _distinct_roots(poly(0, 0, 7), ell) == [0, 7]
+    assert _distinct_roots(np.array([4], dtype=np.int64), ell) == []
+    # x^2 + 2 has no root mod 13 (-2 is not a square), so only 1 and 4 remain
+    quadratic = np.array([2, 0, 1], dtype=np.int64)
+    assert _distinct_roots(np.convolve(quadratic, poly(1, 4, 4)) % ell, ell) == [1, 4]
 
 
 def test_scalar_block_is_kept_unsplit(monkeypatch):
