@@ -18,7 +18,6 @@ from .numbers import InvariantError
 from .perms import (
     Perm,
     check_bijection,
-    conjugate,
     identity_perm,
     inverse,
     is_identity,
@@ -36,14 +35,20 @@ class GroupTooLargeError(Exception):
 
 
 class _Level:
-    """One level of a stabilizer chain: base point, generators, transversal."""
+    """One level of a stabilizer chain: base point, generators, transversal.
 
-    __slots__ = ("point", "gens", "transversal")
+    ``transversal[x]`` maps the base point to x, and ``inverses[x]`` is its
+    inverse, stored beside it (same keys) so that sifting multiplies by a
+    kept permutation rather than inverting one at every step.
+    """
+
+    __slots__ = ("point", "gens", "transversal", "inverses")
 
     def __init__(self, point: int, identity: Perm):
         self.point = point
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {point: identity}
+        self.inverses: dict[int, Perm] = {point: identity}
 
 
 def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
@@ -59,27 +64,31 @@ def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
     def rebuild_orbit(idx: int, gens_here: list[Perm]) -> list[int]:
         level = levels[idx]
         trans = {level.point: identity}
+        invs = {level.point: identity}
+        pairs = [(s, inverse(s)) for s in gens_here]
         queue = [level.point]
         qi = 0
         while qi < len(queue):
             x = queue[qi]
             qi += 1
-            ux = trans[x]
-            for s in gens_here:
+            ux, vx = trans[x], invs[x]
+            for s, s_inv in pairs:
                 y = s[x]
                 if y not in trans:
                     trans[y] = mult(ux, s)
+                    invs[y] = mult(s_inv, vx)  # (ux s)^-1 = s^-1 ux^-1
                     queue.append(y)
         level.transversal = trans
+        level.inverses = invs
         return queue
 
     def sift(p: Perm, start: int) -> tuple[Perm, int]:
         for idx in range(start, len(levels)):
             lv = levels[idx]
-            u = lv.transversal.get(p[lv.point])
-            if u is None:
+            u_inv = lv.inverses.get(p[lv.point])
+            if u_inv is None:
                 return p, idx
-            p = mult(p, inverse(u))
+            p = mult(p, u_inv)
         return p, len(levels)
 
     def place(p: Perm, idx: int) -> int:
@@ -105,7 +114,7 @@ def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
         for x in orbit:
             ux = level.transversal[x]
             for s in gens_here:
-                sg = mult(mult(ux, s), inverse(level.transversal[s[x]]))
+                sg = mult(mult(ux, s), level.inverses[s[x]])
                 residue, j = sift(sg, i + 1)
                 if not is_identity(residue):
                     restart = place(residue, j)
@@ -170,10 +179,10 @@ class _Component:
                 candidate = mult(candidate, step)
             return False
         for lv in self.levels():
-            u = lv.transversal.get(p[lv.point])
-            if u is None:
+            u_inv = lv.inverses.get(p[lv.point])
+            if u_inv is None:
                 return False
-            p = mult(p, inverse(u))
+            p = mult(p, u_inv)
         return all(p[i] == i for i in self.support)
 
     def random_element(self, rng: random.Random) -> Perm:
@@ -336,7 +345,7 @@ class ClassStructure:
 def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> ClassStructure:
     """Full class partition of G; requires |G| within the enumeration cap."""
     elements = G.elements(cap)
-    gens = G.generators
+    gens = [(inverse(g), g) for g in G.generators]
     class_of: dict[Perm, int] = {}
     reps: list[Perm] = []
     sizes: list[int] = []
@@ -350,8 +359,8 @@ def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> ClassStructur
         while qi < len(members):
             x = members[qi]
             qi += 1
-            for g in gens:
-                y = conjugate(x, g)
+            for g_inv, g in gens:
+                y = mult(mult(g_inv, x), g)  # conjugate(x, g)
                 if y not in class_of:
                     class_of[y] = idx
                     members.append(y)

@@ -3,28 +3,42 @@
 A permutation ``p`` sends point ``i`` to ``p[i]``.  Products compose left
 to right: ``mult(p, q)`` acts as "apply p, then q", so that the image of
 ``i`` under the product is ``q[p[i]]``.
+
+Products run in C: ``operator.itemgetter(*p)(q)`` is exactly the tuple of
+``q[i]`` for ``i`` in ``p``, without a Python-level loop.  The identity test
+compares with a cached identity tuple, which is also a single C comparison.
+Permutations stay Python tuples rather than numpy arrays: at the degrees
+used here (at most a few hundred points) numpy's per-call overhead exceeds
+the whole product, and tuples hash, so they key the element and class
+dictionaries directly.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
+from operator import itemgetter
 
 Perm = tuple[int, ...]
 
 
+@cache
 def identity_perm(n: int) -> Perm:
     """The identity permutation on n points."""
     return tuple(range(n))
 
 
 def is_identity(p: Perm) -> bool:
-    """True iff p fixes every point."""
-    return all(p[i] == i for i in range(len(p)))
+    """True iff p fixes every point (p may also be a list)."""
+    return tuple(p) == identity_perm(len(p))
 
 
 def mult(p: Perm, q: Perm) -> Perm:
     """Product "p then q": i -> q[p[i]]."""
-    return tuple(q[i] for i in p)
+    if len(p) < 2:
+        # itemgetter returns a bare item for one index and raises for none.
+        return tuple(q[i] for i in p)
+    return itemgetter(*p)(q)
 
 
 def inverse(p: Perm) -> Perm:
@@ -37,8 +51,7 @@ def inverse(p: Perm) -> Perm:
 
 def conjugate(p: Perm, g: Perm) -> Perm:
     """g^-1 * p * g, the conjugate of p by g."""
-    gi = inverse(g)
-    return tuple(g[p[gi[i]]] for i in range(len(p)))
+    return mult(mult(inverse(g), p), g)
 
 
 def commutator(a: Perm, b: Perm) -> Perm:

@@ -393,6 +393,11 @@ class VerifyConfig:
     timings: bool = False
     tabulate_normalizers: bool = False
 
+    def __post_init__(self):
+        # 0 is valid: with lie=True the sweep is the Lie coverage rows alone
+        if self.max_order < 0:
+            raise ValueError(f"max_order = {self.max_order} is negative")
+
     def to_dict(self) -> dict:
         return {
             "max_order": self.max_order,

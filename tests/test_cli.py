@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +57,7 @@ def test_table_rejects_bad_spec(capsys):
         (["ell", "-p", "4"], "p = 4 is not a prime"),
         (["ell", "-p", "1"], "p = 1 is not a prime"),
         (["ell", "-p", "-3"], "p = -3 is not a prime"),
+        (["verify", "--max-order", "-5"], "max_order = -5 is negative"),
     ],
 )
 def test_library_errors_are_one_line(capsys, argv, message):
@@ -107,6 +112,12 @@ def test_verify_small(capsys):
     assert "violations: 0" in out
     assert "errors: 0" in out
     assert "VIOLATION" not in out
+
+
+def test_verify_max_order_zero_runs_only_lie_rows(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--max-order", "0", "--lie")
+    assert code == 0
+    assert "checks: 96  confirmed: 96" in out
 
 
 def test_verify_json_output(tmp_path, capsys):
@@ -170,3 +181,24 @@ def test_version(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "chardeg" in out
+
+
+def run_module(*argv):
+    # how a source checkout runs the CLI without installing: PYTHONPATH=src python -m chardeg
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    cmd = [sys.executable, "-m", "chardeg", *argv]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("table", "sym:4")
+    assert done.returncode == 0
+    assert "degrees: 1^2 2 3^2" in done.stdout
+
+
+def test_python_dash_m_reports_errors_on_one_line():
+    done = run_module("table", "nope")
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1

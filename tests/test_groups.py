@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes
-from chardeg.perms import from_cycles, identity_perm, inverse, mult, perm_order
+from chardeg.perms import from_cycles, identity_perm, inverse, is_identity, mult, perm_order
 
 from oracle import oracle_classes, oracle_elements
 from support import group_of
@@ -58,6 +58,25 @@ def test_contains_matches_enumeration():
         assert G.contains(p) == (p in universe)
     for x in universe:
         assert G.contains(x)
+
+
+@pytest.mark.parametrize("spec", ["sym:6", "psl2:7", "agl1:27", "frob:43:1:42", "dihedral:200"])
+def test_stabilizer_chain_invariants(spec):
+    G = group_of(spec)
+    levels = [lv for comp in G._components for lv in comp.levels()]
+    assert levels
+    for lv in levels:
+        assert lv.inverses.keys() == lv.transversal.keys()
+        for x, u in lv.transversal.items():
+            assert u[lv.point] == x
+            assert is_identity(mult(u, lv.inverses[x]))
+    universe = set(G.elements())
+    assert all(G.contains(x) for x in universe)
+    rng = random.Random(11)
+    for _ in range(100):
+        p = tuple(rng.sample(range(G.degree), G.degree))
+        if p not in universe:
+            assert not G.contains(p)
 
 
 def test_random_element_lands_in_group():

@@ -27,6 +27,7 @@ def test_identity():
     assert e == (0, 1, 2, 3, 4)
     assert is_identity(e)
     assert not is_identity((1, 0, 2))
+    assert is_identity([0, 1, 2]) and not is_identity([1, 0, 2])
 
 
 def test_mult_applies_left_then_right():
@@ -56,6 +57,33 @@ def test_check_bijection():
     check_bijection((2, 0, 1))
     with pytest.raises(ValueError):
         check_bijection((0, 0, 1))
+
+
+def same_degree_triples():
+    # degrees 0 and 1 are where itemgetter(*p) would take no index or one
+    degrees = st.sampled_from([0, 1, 2, 7, 40])
+    return degrees.flatmap(lambda n: st.tuples(perms(n), perms(n), perms(n)))
+
+
+@settings(max_examples=200, derandomize=True)
+@given(same_degree_triples())
+def test_kernel_matches_written_out_definitions(triple):
+    p, q, g = triple
+    n = len(p)
+    p_inv = tuple(p.index(i) for i in range(n))
+    g_inv = tuple(g.index(i) for i in range(n))
+    results = [
+        (mult(p, q), tuple(q[i] for i in p)),
+        (inverse(p), p_inv),
+        (conjugate(p, g), tuple(g[p[g_inv[i]]] for i in range(n))),
+        (identity_perm(n), tuple(range(n))),
+    ]
+    for got, want in results:
+        assert type(got) is tuple
+        assert got == want
+    assert is_identity(p) == all(p[i] == i for i in range(n))
+    assert is_identity(list(p)) == is_identity(p)
+    assert is_identity(mult(p, p_inv)) and is_identity(list(range(n)))
 
 
 @settings(max_examples=200, derandomize=True)
