@@ -4,7 +4,7 @@ control (normal Sylow subgroups, solvable p-residuals, orbit bounds) and
 prime-coverage checks for Lie-type degree formulas."""
 
 from ._version import __version__
-from .acd import AcdReport, a_p, acd_p, b_p, ell, format_rational, irr_p_degrees, make_acd_report, n_d
+from .acd import AcdReport, a_p, acd_p, b_p, ell, format_rational, irr_p_degrees, make_acd_report
 from .constructions import (
     BuiltGroup,
     GroupRecipe,
@@ -12,7 +12,6 @@ from .constructions import (
     agl1,
     alt,
     build,
-    catalog,
     cyclic,
     dihedral,
     direct_product,

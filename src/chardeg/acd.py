@@ -14,8 +14,6 @@ from fractions import Fraction
 from .dixon import DegreeSpectrum
 from .numbers import InvariantError, is_prime, is_prime_power
 
-Rational = Fraction
-
 ELL_SEARCH_CAP = 10**6
 
 
@@ -29,12 +27,7 @@ def irr_p_degrees(spectrum: DegreeSpectrum, p: int) -> tuple[int, ...]:
     return tuple(d for d in spectrum.degrees if d == 1 or d % p == 0)
 
 
-def n_d(spectrum: DegreeSpectrum, d: int) -> int:
-    """Number of irreducible characters of degree d."""
-    return spectrum.count(d)
-
-
-def acd_p(spectrum: DegreeSpectrum, p: int) -> Rational:
+def acd_p(spectrum: DegreeSpectrum, p: int) -> Fraction:
     """Average of the degrees in irr_p_degrees; always at least 1."""
     _require_prime(p)
     degs = irr_p_degrees(spectrum, p)
@@ -52,13 +45,13 @@ def ell(p: int, cap: int = ELL_SEARCH_CAP) -> int:
     raise RuntimeError(f"no multiplier below {cap} for p = {p}")
 
 
-def b_p(p: int) -> Rational:
+def b_p(p: int) -> Fraction:
     """Sylow-normality threshold 2*l*p / (l*p + 1) with l = ell(p)."""
     lp = ell(p) * p
     return Fraction(2 * lp, lp + 1)
 
 
-def a_p(p: int) -> Rational:
+def a_p(p: int) -> Fraction:
     """Solvability threshold: 5/2 at p = 2, 7/3 at p = 3, else (p + 1)/2."""
     _require_prime(p)
     if p == 2:
@@ -74,9 +67,9 @@ class AcdReport:
 
     p: int
     degrees: tuple[int, ...]
-    acd: Rational
-    b: Rational
-    a: Rational
+    acd: Fraction
+    b: Fraction
+    a: Fraction
     below_b: bool
     below_a: bool
 
@@ -101,6 +94,6 @@ def make_acd_report(spectrum: DegreeSpectrum, p: int) -> AcdReport:
     )
 
 
-def format_rational(x: Rational) -> str:
+def format_rational(x: Fraction) -> str:
     """Canonical "num/den" form used in all JSON output."""
     return f"{x.numerator}/{x.denominator}"

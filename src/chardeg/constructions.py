@@ -423,6 +423,3 @@ def iter_catalog(max_order: int):
     recipes.sort(key=lambda r: (r.order, r.spec))
     yield from recipes
 
-
-def catalog(max_order: int) -> list[GroupRecipe]:
-    return list(iter_catalog(max_order))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import lcm
+from operator import itemgetter
 
 from .numbers import InvariantError
 from .perms import (
@@ -32,6 +33,29 @@ ENUMERATION_CAP = 100_000
 
 class GroupTooLargeError(Exception):
     """Raised when an operation needs more elements than the configured cap."""
+
+
+def orbit(start, maps, seen: set | None = None, limit: int | None = None) -> list:
+    """start and every point reachable from it under the callables in maps,
+    in breadth-first discovery order.
+
+    Points are added to seen (a fresh set when None), so one set shared over
+    several calls partitions a set into orbits.  An orbit of more than limit
+    points raises GroupTooLargeError.
+    """
+    if seen is None:
+        seen = set()
+    seen.add(start)
+    points = [start]
+    for x in points:  # the list grows while it is walked
+        for f in maps:
+            y = f(x)
+            if y not in seen:
+                seen.add(y)
+                points.append(y)
+        if limit is not None and len(points) > limit:
+            raise GroupTooLargeError(f"orbit exceeds cap {limit}")
+    return points
 
 
 class _Level:
@@ -293,24 +317,11 @@ class PermGroup:
         if self._elements is None:
             if self._order is not None and self._order > cap:
                 raise GroupTooLargeError(f"group of order {self._order} exceeds cap {cap}")
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    for g in self.generators:
-                        y = mult(x, g)
-                        if y not in seen:
-                            seen.add(y)
-                            nxt.append(y)
-                            if len(seen) > cap:
-                                raise GroupTooLargeError(
-                                    f"group too large for enumeration (cap {cap})"
-                                )
-                frontier = nxt
-            if len(seen) != self.order:
+            # itemgetter(*g)(x) is mult(g, x) in one C call
+            found = orbit(self.identity, [itemgetter(*g) for g in self.generators], limit=cap)
+            if len(found) != self.order:
                 raise InvariantError("closure disagrees with the stabilizer chain")
-            self._elements = sorted(seen)
+            self._elements = sorted(found)
         return self._elements
 
     def __repr__(self) -> str:
@@ -342,28 +353,25 @@ class ClassStructure:
         return sorted(el for el, c in self.class_of.items() if c == j)
 
 
+def _conjugation(g: Perm):
+    """x -> g^-1 * x * g, with the itemgetter of g^-1 built once."""
+    by_inverse = itemgetter(*inverse(g))
+    return lambda x: by_inverse(itemgetter(*x)(g))
+
+
 def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> ClassStructure:
     """Full class partition of G; requires |G| within the enumeration cap."""
     elements = G.elements(cap)
-    gens = [(inverse(g), g) for g in G.generators]
+    maps = [_conjugation(g) for g in G.generators]
+    seen: set[Perm] = set()
     class_of: dict[Perm, int] = {}
     reps: list[Perm] = []
     sizes: list[int] = []
     for el in elements:
-        if el in class_of:
+        if el in seen:
             continue
-        idx = len(reps)
-        members = [el]
-        class_of[el] = idx
-        qi = 0
-        while qi < len(members):
-            x = members[qi]
-            qi += 1
-            for g_inv, g in gens:
-                y = mult(mult(g_inv, x), g)  # conjugate(x, g)
-                if y not in class_of:
-                    class_of[y] = idx
-                    members.append(y)
+        members = orbit(el, maps, seen)
+        class_of.update(dict.fromkeys(members, len(reps)))
         reps.append(el)
         sizes.append(len(members))
     inverse_class = tuple(class_of[inverse(r)] for r in reps)

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .groups import ENUMERATION_CAP, MAX_POINTS, PermGroup
+from .groups import ENUMERATION_CAP, MAX_POINTS, GroupTooLargeError, PermGroup, orbit
 from .numbers import InvariantError
 from .perms import (
     Perm,
     commutator,
     conjugate,
-    identity_perm,
     is_identity,
     mult,
     perm_order,
@@ -94,25 +94,6 @@ def _p_parts(n: int, p: int) -> tuple[int, int]:
     return pp, n
 
 
-def _closure_as_p_group(gens: list[Perm], degree: int, limit: int) -> set[Perm] | None:
-    """Closure of gens if its size stays within limit, else None."""
-    ident = identity_perm(degree)
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = mult(x, g)
-                if y not in seen:
-                    if len(seen) >= limit:
-                        return None
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return seen
-
-
 def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
     """A Sylow p-subgroup of G.
 
@@ -150,8 +131,10 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
         nonlocal gens, closure
         if x in closure:
             return False
-        grown = _closure_as_p_group(gens + [x], G.degree, pp + 1)
-        if grown is None or len(grown) > pp:
+        grown: set[Perm] = set()
+        try:
+            orbit(G.identity, [itemgetter(*g) for g in gens + [x]], grown, limit=pp)
+        except GroupTooLargeError:  # larger than the p-part: not a p-group
             return False
         if pp % len(grown) != 0:
             return False
@@ -220,18 +203,8 @@ def quotient_group(G: PermGroup, N: SubgroupHandle, max_points: int = MAX_POINTS
     def canon(x: Perm) -> Perm:
         return min(mult(x, n) for n in n_elems)
 
-    start = canon(G.identity)
-    cosets = [start]
-    seen = {start}
-    qi = 0
-    while qi < len(cosets):
-        c = cosets[qi]
-        qi += 1
-        for a in G.generators:
-            d = canon(mult(a, c))
-            if d not in seen:
-                seen.add(d)
-                cosets.append(d)
+    maps = [lambda c, a=a: canon(mult(a, c)) for a in G.generators]
+    cosets = orbit(canon(G.identity), maps)
     if len(cosets) != index:
         raise InvariantError(f"{len(cosets)} cosets found for index {index}")
     cosets.sort()

@@ -28,12 +28,13 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 
 from ._version import __version__
 from .acd import a_p, acd_p, b_p, format_rational
 from .constructions import BuiltGroup, SplitExtensionData, build, iter_catalog, spectrum_of
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
-from .groups import ENUMERATION_CAP, PermGroup
+from .groups import ENUMERATION_CAP, PermGroup, orbit
 from .liedeg import default_matrix, prime_coverage_check
 from .numbers import InvariantError, prime_divisors
 from .subgroups import (
@@ -44,7 +45,6 @@ from .subgroups import (
     normalizer,
     p_residual,
     quotient_group,
-    subgroup,
     sylow,
 )
 
@@ -270,54 +270,27 @@ def check_quotient_monotonicity(
     )
 
 
-def _matrix_inverse_mod(mat: tuple[tuple[int, ...], ...], r: int) -> list[list[int]]:
-    m = len(mat)
-    aug = [[mat[i][j] % r for j in range(m)] + [int(i == j) for j in range(m)] for i in range(m)]
-    row = 0
-    for col in range(m):
-        piv = next(i for i in range(row, m) if aug[i][col] % r)
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = pow(aug[row][col], -1, r)
-        aug[row] = [x * inv % r for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [(x - c * y) % r for x, y in zip(aug[i], aug[row])]
-        row += 1
-    return [r_[m:] for r_ in aug]
-
-
 def dual_orbit_sizes(data: SplitExtensionData) -> list[int]:
     """Orbit sizes of the complement acting on the nonzero linear characters
-    of the kernel (the inverse-transpose action on row vectors)."""
+    of the kernel.
+
+    That action is the inverse-transpose one on row vectors, v -> v M^-T.
+    The code lets each M act as v -> M v, that is by M^T on row vectors:
+    a finite matrix group is also generated by the inverses of its
+    generators, so the transposes and the inverse-transposes generate the
+    same group and have the same orbits.
+    """
     r, m = data.r, data.m
-    duals = []
-    for mat in data.complement_matrices:
-        inv = _matrix_inverse_mod(mat, r)
-        duals.append([[inv[j][i] for j in range(m)] for i in range(m)])
-
-    def act(v: tuple[int, ...], mat) -> tuple[int, ...]:
-        return tuple(sum(v[i] * mat[i][j] for i in range(m)) % r for j in range(m))
-
+    maps = [
+        lambda v, mat=mat: tuple(sum(a * b for a, b in zip(row, v)) % r for row in mat)
+        for mat in data.complement_matrices
+    ]
     seen: set[tuple[int, ...]] = set()
-    sizes = []
-    from itertools import product as iproduct
-
-    for start in iproduct(range(r), repeat=m):
-        if start in seen or not any(start):
-            continue
-        orbit = [start]
-        seen.add(start)
-        qi = 0
-        while qi < len(orbit):
-            v = orbit[qi]
-            qi += 1
-            for mat in duals:
-                w = act(v, mat)
-                if w not in seen:
-                    seen.add(w)
-                    orbit.append(w)
-        sizes.append(len(orbit))
+    sizes = [
+        len(orbit(v, maps, seen))
+        for v in product(range(r), repeat=m)
+        if any(v) and v not in seen
+    ]
     if sum(sizes) != r**m - 1:
         raise InvariantError("orbits do not partition the nonzero vectors")
     return sorted(sizes)
@@ -468,61 +441,37 @@ def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOu
     primes = sorted(set(prime_divisors(recipe.order)) | set(_ALWAYS_TESTED_PRIMES))
 
     derived = derived_subgroup(G)
-    candidates: list[tuple[str, SubgroupHandle, bool]] = [("derived-subgroup", derived, True)]
-    if built.split is not None and built.split.kernel_gens:
-        kernel = subgroup(G, built.split.kernel_gens)
-        same = kernel.group.order == derived.group.order and all(
-            derived.group.contains(g) for g in kernel.group.generators
-        )
-        if not same:
-            candidates.append(("abelian-kernel", kernel, False))
+    Q = quotient_group(G, derived)
+    quotient_spectrum = spectrum if Q is G else degree_spectrum(Q)
 
-    quotient_spectra: list[tuple[str, SubgroupHandle, DegreeSpectrum] | None] = []
-    for label, N, known_good in candidates:
-        if not known_good:
-            if not is_normal(G, N) or not all(
-                derived.group.contains(g) for g in N.group.generators
-            ):
-                quotient_spectra.append(None)
-                continue
-        Q = quotient_group(G, N)
-        qspec = spectrum if Q is G else degree_spectrum(Q)
-        quotient_spectra.append((label, N, qspec))
-
-    sylow_cache: dict[int, SubgroupHandle] = {}
     for p in primes:
-        syl = sylow_cache.setdefault(p, sylow(G, p, seed=config.seed))
-        for fn in (check_sylow_normality, check_p_residual_solvable, check_ito_michler):
+        syl = sylow(G, p, seed=config.seed)
+        for name, fn in (
+            ("sylow-normal", check_sylow_normality),
+            ("p-residual-solvable", check_p_residual_solvable),
+            ("ito-michler", check_ito_michler),
+        ):
             try:
                 outcomes.append(
                     fn(G, p, spectrum=spectrum, sylow_handle=syl, group_id=gid, seed=config.seed)
                 )
             except Exception as exc:  # recorded, sweep continues
-                name = {
-                    check_sylow_normality: "sylow-normal",
-                    check_p_residual_solvable: "p-residual-solvable",
-                    check_ito_michler: "ito-michler",
-                }[fn]
                 outcomes.append(_error_outcome(name, gid, recipe.order, p, exc))
-        for entry in quotient_spectra:
-            if entry is None:
-                continue
-            label, N, qspec = entry
-            try:
-                out = check_quotient_monotonicity(
+        try:
+            outcomes.append(
+                check_quotient_monotonicity(
                     G,
-                    N,
+                    derived,
                     p,
                     spectrum=spectrum,
-                    quotient_spectrum=qspec,
+                    quotient_spectrum=quotient_spectrum,
                     group_id=gid,
-                    candidate=label,
+                    candidate="derived-subgroup",
                     skip_preconditions=True,
                 )
-                if out is not None:
-                    outcomes.append(out)
-            except Exception as exc:
-                outcomes.append(_error_outcome("quotient-monotone", gid, recipe.order, p, exc))
+            )
+        except Exception as exc:
+            outcomes.append(_error_outcome("quotient-monotone", gid, recipe.order, p, exc))
         if built.split is not None:
             try:
                 outcomes.append(

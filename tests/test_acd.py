@@ -13,7 +13,6 @@ from chardeg.acd import (
     format_rational,
     irr_p_degrees,
     make_acd_report,
-    n_d,
 )
 from chardeg.dixon import DegreeSpectrum, degree_spectrum
 from chardeg.numbers import is_prime, is_prime_power
@@ -37,8 +36,8 @@ def test_irr_p_degrees():
 
 def test_n_d():
     s4 = spectrum("sym:4")
-    assert n_d(s4, 1) == 2 and n_d(s4, 3) == 2 and n_d(s4, 2) == 1
-    assert n_d(s4, 4) == 0
+    assert s4.count(1) == 2 and s4.count(3) == 2 and s4.count(2) == 1
+    assert s4.count(4) == 0
 
 
 def test_acd_examples():

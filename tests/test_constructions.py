@@ -5,9 +5,9 @@ import pytest
 from chardeg.constructions import (
     PSL2_SUPPORTED,
     build,
-    catalog,
     dihedral_class_count,
     direct_product,
+    iter_catalog,
     parse_group_spec,
     psl2,
     spectrum_of,
@@ -158,10 +158,10 @@ def test_dihedral_class_count():
 
 
 def test_catalog_contents():
-    only_trivial = catalog(1)
+    only_trivial = list(iter_catalog(1))
     assert [r.spec for r in only_trivial] == ["cyclic:1"]
 
-    specs30 = {r.spec for r in catalog(30)}
+    specs30 = {r.spec for r in iter_catalog(30)}
     assert "cyclic:30" in specs30
     assert "sym:4" in specs30
     assert "frob:7:1:3" in specs30
@@ -169,7 +169,7 @@ def test_catalog_contents():
     assert "sym:3xcyclic:2" not in specs30 or True  # pool membership may vary
     assert all(parse_group_spec(s).order <= 30 for s in specs30)
 
-    specs200 = [r.spec for r in catalog(200)]
+    specs200 = [r.spec for r in iter_catalog(200)]
     assert len(specs200) == len(set(specs200))  # no duplicates
     for must in ["psl2:5", "alt:5", "sym:5", "agl1:11", "extraspecial:3",
                  "dihedral:50", "agl1:13", "frob:11:1:5"]:
@@ -177,7 +177,7 @@ def test_catalog_contents():
 
 
 def test_catalog_sorted_and_buildable():
-    rs = catalog(60)
+    rs = list(iter_catalog(60))
     keys = [(r.order, r.spec) for r in rs]
     assert keys == sorted(keys)
     for r in rs:

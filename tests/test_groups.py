@@ -5,8 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes
-from chardeg.perms import from_cycles, identity_perm, inverse, is_identity, mult, perm_order
+from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
+from chardeg.perms import (
+    conjugate,
+    from_cycles,
+    identity_perm,
+    inverse,
+    is_identity,
+    mult,
+    perm_order,
+)
 
 from oracle import oracle_classes, oracle_elements
 from support import group_of
@@ -102,6 +110,37 @@ def test_enumeration_cap():
     G = group_of("sym:8")
     with pytest.raises(GroupTooLargeError):
         G.elements(cap=1000)
+    # a group made from generators alone has no order yet, so the orbit's
+    # own cap decides, exactly at the boundary
+    assert len(PermGroup(sym_gens(5)).elements(cap=120)) == 120
+    with pytest.raises(GroupTooLargeError, match="orbit exceeds cap 119"):
+        PermGroup(sym_gens(5)).elements(cap=119)
+    G = group_of("sym:5")
+    assert G.order == 120  # known order: refused before enumerating
+    with pytest.raises(GroupTooLargeError, match="order 120 exceeds cap 119"):
+        G.elements(cap=119)
+    assert len(G.elements(cap=G.order)) == G.order
+
+
+def test_orbit_discovery_order_and_limit():
+    maps = [lambda x: (x + 1) % 6, lambda x: (x + 3) % 6]
+    assert orbit(0, maps) == [0, 1, 3, 2, 4, 5]
+    assert orbit(0, maps, limit=6) == [0, 1, 3, 2, 4, 5]
+    with pytest.raises(GroupTooLargeError, match="exceeds cap 5"):
+        orbit(0, maps, limit=5)
+    assert orbit(0, [lambda x: (x + 2) % 6]) == [0, 2, 4]
+
+
+def test_orbit_shared_seen_partitions_s4_into_classes():
+    G = group_of("sym:4")
+    maps = [lambda x, g=g: conjugate(x, g) for g in G.generators]
+    seen = set()
+    classes = [orbit(x, maps, seen) for x in G.elements() if x not in seen]
+    assert len(classes) == 5
+    assert sorted(map(len, classes)) == [1, 3, 6, 6, 8]
+    assert seen == set(G.elements())
+    assert sum(map(len, classes)) == len(seen)  # disjoint
+    assert [c[0] for c in classes] == list(conjugacy_classes(G).reps)
 
 
 def test_conjugacy_class_sizes():

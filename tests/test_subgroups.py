@@ -2,7 +2,11 @@
 
 import random
 
-from chardeg.groups import PermGroup, conjugacy_classes
+import pytest
+
+from chardeg import subgroups
+from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
+from chardeg.numbers import factorize, prime_divisors
 from chardeg.perms import conjugate, identity_perm, inverse, mult
 from chardeg.subgroups import (
     derived_series,
@@ -79,6 +83,25 @@ def test_sylow_is_p_subgroup_and_seed_stable():
         assert P0.group.order * n == G.order
         for x in P0.group.elements():
             assert G.contains(x)
+
+
+@pytest.mark.parametrize("spec", ["psl2:7", "sym:6"])
+def test_sylow_rejects_oversized_closures_and_still_reaches_full_order(spec, monkeypatch):
+    refused = []
+
+    def counting_orbit(*args, **kwargs):
+        try:
+            return orbit(*args, **kwargs)
+        except GroupTooLargeError:
+            refused.append(kwargs.get("limit"))
+            raise
+
+    monkeypatch.setattr(subgroups, "orbit", counting_orbit)
+    G = group_of(spec)
+    for p in prime_divisors(G.order):
+        pp = p ** factorize(G.order).count(p)
+        assert sylow(G, p).group.order == pp
+    assert refused  # some adjoined element generated more than the p-part
 
 
 def test_is_normal():

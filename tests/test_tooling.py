@@ -1,16 +1,28 @@
 """Checks on the source tree and on the benchmark's recorded answers."""
 
 import ast
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from chardeg.dixon import dixon_degrees
+from chardeg.constructions import spectrum_of
+from chardeg.dixon import degree_spectrum, dixon_degrees
 from chardeg.groups import conjugacy_classes
+from chardeg.numbers import prime_divisors
+from chardeg.subgroups import (
+    derived_subgroup,
+    is_normal,
+    is_solvable,
+    p_residual,
+    quotient_group,
+    sylow,
+)
+from chardeg.verify import VerifyConfig, run_catalog
 
-from support import group_of
+from support import built_of, group_of
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "chardeg").glob("*.py"))
@@ -24,9 +36,48 @@ def test_package_has_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+def benchmark_reference(workload: str):
+    return json.loads((ROOT / "perfbench" / "reference.json").read_text())[workload]
+
+
+def multiset(degrees) -> list[list[int]]:
+    return sorted(map(list, Counter(degrees).items()))
+
+
 def test_solver_wide_spectra_match_the_benchmark_reference():
-    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["solver-wide"]
+    reference = benchmark_reference("solver-wide")
     assert len(reference) == 6
-    for spec, multiset in reference.items():
+    for spec, expected in reference.items():
         degrees = dixon_degrees(conjugacy_classes(group_of(spec))).degrees
-        assert sorted(map(list, Counter(degrees).items())) == multiset, spec
+        assert multiset(degrees) == expected, spec
+
+
+def test_catalog_rows_match_the_benchmark_reference():
+    report = run_catalog(VerifyConfig(max_order=150, lie=True))
+    rows = json.dumps([c.to_dict() for c in report.checks], separators=(",", ":"))
+    digest = hashlib.sha256(rows.encode()).hexdigest()
+    assert digest == benchmark_reference("catalog-150")["rows_sha256"]
+
+
+def test_structure_facts_match_the_benchmark_reference():
+    reference = benchmark_reference("structure-large")
+    assert len(reference) == 6
+    for spec, expected in reference.items():
+        built = built_of(spec)
+        G = built.group
+        facts = {"degrees": multiset(spectrum_of(built).degrees), "primes": {}}
+        for p in prime_divisors(G.order):
+            P = sylow(G, p)
+            residual = p_residual(G, p, sylow_handle=P)
+            facts["primes"][str(p)] = {
+                "residual_order": residual.group.order,
+                "residual_solvable": is_solvable(residual.group),
+                "sylow_normal": is_normal(G, P),
+                "sylow_order": P.group.order,
+            }
+        derived = derived_subgroup(G)
+        facts["derived_order"] = derived.group.order
+        if derived.group.order < G.order:
+            Q = quotient_group(G, derived)
+            facts["quotient_degrees"] = multiset(degree_spectrum(Q).degrees)
+        assert facts == expected, spec

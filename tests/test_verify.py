@@ -1,8 +1,12 @@
 """Tests for the theorem verifier: single checks, sweeps, reports."""
 
+import itertools
 import json
 from fractions import Fraction
 
+import pytest
+
+from chardeg.constructions import build, iter_catalog
 from chardeg.dixon import DegreeSpectrum, degree_spectrum
 from chardeg.subgroups import derived_subgroup, subgroup, sylow
 from chardeg.verify import (
@@ -169,6 +173,62 @@ def test_orbit_bound_f0_is_vacuous():
     out = check_orbit_bound(built.split, 5, sp, group_id="frob:3:1:2", order=6)
     assert out.verdict == "vacuous"  # no orbit of size 1 or divisible by 5
     assert "f=0" in out.detail
+
+
+def _inverse_transpose_orbit_sizes(data):
+    """Dual orbit sizes straight from the definition: enumerate the group of
+    inverse-transposed complement matrices, then the orbit of every vector."""
+    r, m = data.r, data.m
+
+    def matmul(a, b):
+        return tuple(
+            tuple(sum(a[i][k] * b[k][j] for k in range(m)) % r for j in range(m))
+            for i in range(m)
+        )
+
+    identity = tuple(tuple(int(i == j) for j in range(m)) for i in range(m))
+
+    def inverse(mat):
+        power = mat  # mat^k = 1 for some k, and then mat^(k-1) is the inverse
+        while matmul(power, mat) != identity:
+            power = matmul(power, mat)
+        return power
+
+    duals = [tuple(zip(*inverse(mat))) for mat in data.complement_matrices]
+    group = {identity}
+    while True:
+        grown = group | {matmul(h, d) for h in group for d in duals}
+        if grown == group:
+            break
+        group = grown
+    vectors = [v for v in itertools.product(range(r), repeat=m) if any(v)]
+    orbits = {
+        frozenset(
+            tuple(sum(v[i] * h[i][j] for i in range(m)) % r for j in range(m)) for h in group
+        )
+        for v in vectors
+    }
+    return sorted(map(len, orbits))
+
+
+@pytest.mark.parametrize("spec", ["agl1:8", "agl1:9", "frob:7:1:3", "frob:3:2:4", "frob:2:4:5"])
+def test_dual_orbit_sizes_match_inverse_transpose_reference(spec):
+    data = built_of(spec).split
+    assert dual_orbit_sizes(data) == _inverse_transpose_orbit_sizes(data)
+
+
+def test_split_kernel_is_the_derived_subgroup():
+    # quotient-monotone uses N = G' only; a split kernel V different from G'
+    # would be a second quotient candidate the sweep does not check
+    split = [build(r) for r in iter_catalog(300)]
+    split = [b for b in split if b.split is not None]
+    assert split
+    for built in split:
+        G = built.group
+        kernel = subgroup(G, built.split.kernel_gens).group
+        derived = derived_subgroup(G).group
+        assert kernel.order == derived.order, built.recipe.spec
+        assert all(derived.contains(g) for g in kernel.generators), built.recipe.spec
 
 
 def test_run_catalog_tiny():
