@@ -54,6 +54,7 @@ from .subgroups import (
 )
 from .verify import (
     CheckOutcome,
+    GroupFacts,
     VerificationReport,
     VerifyConfig,
     check_ito_michler,

@@ -21,7 +21,6 @@ from .perms import Perm, from_cycles
 
 ABELIAN_PAIR_CAP = 32
 FROBENIUS_FIELD_CAP = 128
-PSL2_CATALOG_MAX = 13
 _PRODUCT_POOL_LEFT = (
     "sym:3",
     "sym:4",
@@ -168,12 +167,12 @@ def agl1(q: int) -> tuple[PermGroup, SplitExtensionData]:
 PSL2_SUPPORTED = frozenset({4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27})
 
 
-def psl2(q: int, supported: frozenset[int] = PSL2_SUPPORTED) -> PermGroup:
+def psl2(q: int) -> PermGroup:
     """PSL_2(q) acting on the q + 1 points of the projective line."""
     if not is_prime_power(q) or q < 4:
         raise ValueError("psl2 requires a prime power q >= 4")
-    if q not in supported:
-        raise ValueError(f"psl2({q}) is outside the supported set {sorted(supported)}")
+    if q not in PSL2_SUPPORTED:
+        raise ValueError(f"psl2({q}) is outside the supported set {sorted(PSL2_SUPPORTED)}")
     if q + 1 > MAX_POINTS:
         raise ValueError(f"projective line over GF({q}) exceeds the point cap")
     F = finite_field(q)
@@ -364,15 +363,9 @@ def build(recipe: GroupRecipe) -> BuiltGroup:
     return built
 
 
-def spectrum_of(built: BuiltGroup, class_cap: int = CLASS_CAP) -> DegreeSpectrum:
+def spectrum_of(built: BuiltGroup) -> DegreeSpectrum:
     """Character degree spectrum, multiplying factor spectra for products."""
-    if built.factors:
-        return degree_spectrum(
-            built.group,
-            factors=[f.group for f in built.factors],
-            class_cap=class_cap,
-        )
-    return degree_spectrum(built.group, class_cap=class_cap)
+    return degree_spectrum(built.group, factors=[f.group for f in built.factors])
 
 
 def iter_catalog(max_order: int):
@@ -402,10 +395,8 @@ def iter_catalog(max_order: int):
             if (q - 1) % d == 0 and q * d <= max_order:
                 specs.append(f"frob:{r}:{m}:{d}")
     for q in (4, 5, 7, 8, 9, 11, 13):
-        if q <= PSL2_CATALOG_MAX:
-            order = q * (q * q - 1) // (2 if q % 2 else 1)
-            if order <= max_order:
-                specs.append(f"psl2:{q}")
+        if q * (q * q - 1) // (2 if q % 2 else 1) <= max_order:
+            specs.append(f"psl2:{q}")
     for p in (3, 5):
         if p**3 <= max_order:
             specs.append(f"extraspecial:{p}")

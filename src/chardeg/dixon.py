@@ -36,7 +36,7 @@ from math import isqrt
 
 import numpy as np
 
-from .groups import ENUMERATION_CAP, ClassStructure, PermGroup, conjugacy_classes
+from .groups import ClassStructure, PermGroup, conjugacy_classes
 from .numbers import InvariantError, is_prime, sqrt_mod
 
 CLASS_CAP = 150
@@ -326,20 +326,11 @@ def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpect
     return DegreeSpectrum(tuple(degrees), order)
 
 
-def degree_spectrum(
-    G: PermGroup,
-    *,
-    factors: list[PermGroup] | None = None,
-    enumeration_cap: int = ENUMERATION_CAP,
-    class_cap: int = CLASS_CAP,
-) -> DegreeSpectrum:
+def degree_spectrum(G: PermGroup, *, factors: list[PermGroup] | None = None) -> DegreeSpectrum:
     """Spectrum of G: all ones for abelian groups, a pointwise product over
     explicit direct factors, and the modular solver otherwise."""
     if factors:
-        spectra = [
-            degree_spectrum(F, enumeration_cap=enumeration_cap, class_cap=class_cap)
-            for F in factors
-        ]
+        spectra = [degree_spectrum(F) for F in factors]
         degrees = [1]
         order = 1
         for sp in spectra:
@@ -350,4 +341,4 @@ def degree_spectrum(
         return DegreeSpectrum(tuple(sorted(degrees)), order)
     if G.is_abelian():
         return DegreeSpectrum((1,) * G.order, G.order)
-    return dixon_degrees(conjugacy_classes(G, enumeration_cap), class_cap)
+    return dixon_degrees(conjugacy_classes(G))

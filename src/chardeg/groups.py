@@ -314,9 +314,10 @@ class PermGroup:
 
     def elements(self, cap: int = ENUMERATION_CAP) -> list[Perm]:
         """All elements, lexicographically sorted; error beyond the cap."""
+        # a cached list implies a known order, so this also guards the cache
+        if self._order is not None and self._order > cap:
+            raise GroupTooLargeError(f"group of order {self._order} exceeds cap {cap}")
         if self._elements is None:
-            if self._order is not None and self._order > cap:
-                raise GroupTooLargeError(f"group of order {self._order} exceeds cap {cap}")
             # itemgetter(*g)(x) is mult(g, x) in one C call
             found = orbit(self.identity, [itemgetter(*g) for g in self.generators], limit=cap)
             if len(found) != self.order:

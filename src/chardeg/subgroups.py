@@ -181,7 +181,7 @@ def p_residual(
     return SubgroupHandle(normal_closure(G, P.group.generators), G)
 
 
-def quotient_group(G: PermGroup, N: SubgroupHandle, max_points: int = MAX_POINTS) -> PermGroup:
+def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     """G/N as a permutation group on the left cosets of N.
 
     Coset keys are the lexicographically least member; the quotient by the
@@ -196,8 +196,8 @@ def quotient_group(G: PermGroup, N: SubgroupHandle, max_points: int = MAX_POINTS
     if not is_normal(G, N):
         raise ValueError("quotient by a non-normal subgroup")
     index = G.order // NG.order
-    if index > max_points:
-        raise ValueError(f"coset space of size {index} exceeds the {max_points}-point cap")
+    if index > MAX_POINTS:
+        raise ValueError(f"coset space of size {index} exceeds the {MAX_POINTS}-point cap")
     n_elems = NG.elements()
 
     def canon(x: Perm) -> Perm:

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from ._version import __version__
@@ -66,7 +67,6 @@ class CheckOutcome:
     boundary: bool = False
     detail: str = ""
     error: str | None = None
-    elapsed_ms: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -85,8 +85,6 @@ class CheckOutcome:
             out["detail"] = self.detail
         if self.error is not None:
             out["error"] = self.error
-        if self.elapsed_ms is not None:
-            out["elapsed_ms"] = self.elapsed_ms
         return out
 
 
@@ -138,56 +136,90 @@ def _error_outcome(check: str, group: str, order: int, p: int | None, exc: Excep
     )
 
 
-def check_sylow_normality(
-    G: PermGroup,
-    p: int,
-    *,
-    spectrum: DegreeSpectrum | None = None,
-    sylow_handle: SubgroupHandle | None = None,
-    group_id: str = "",
-    seed: int = 0,
-) -> CheckOutcome:
+@dataclass
+class GroupFacts:
+    """What the checks read about one group, each fact derived once.
+
+    The spectrum and the split data come with G.  The Sylow p-subgroups and
+    their normality, acd_p, G', the quotient spectra and the dual orbit
+    sizes are computed on first use and kept.
+    """
+
+    group_id: str
+    G: PermGroup
+    spectrum: DegreeSpectrum
+    seed: int = 0
+    split: SplitExtensionData | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def of(cls, built: BuiltGroup, seed: int = 0) -> GroupFacts:
+        return cls(built.recipe.spec, built.group, spectrum_of(built), seed, built.split)
+
+    def _once(self, key, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def acd(self, p: int) -> Fraction:
+        return self._once(("acd", p), lambda: acd_p(self.spectrum, p))
+
+    def sylow(self, p: int) -> SubgroupHandle:
+        return self._once(("sylow", p), lambda: sylow(self.G, p, seed=self.seed))
+
+    def sylow_normal(self, p: int) -> bool:
+        return self._once(("sylow-normal", p), lambda: is_normal(self.G, self.sylow(p)))
+
+    @cached_property
+    def derived(self) -> SubgroupHandle:
+        return derived_subgroup(self.G)
+
+    def quotient_spectrum(self, N: SubgroupHandle) -> DegreeSpectrum | None:
+        """Spectrum of G/N, or None when N is not normal or not inside G'."""
+        return self._once(("quotient", N.group.generators), lambda: self._quotient_spectrum(N))
+
+    def _quotient_spectrum(self, N: SubgroupHandle) -> DegreeSpectrum | None:
+        G, derived = self.G, self.derived.group
+        if not is_normal(G, N) or not all(derived.contains(g) for g in N.group.generators):
+            return None
+        Q = quotient_group(G, N)
+        return self.spectrum if Q is G else degree_spectrum(Q)
+
+    @cached_property
+    def orbit_sizes(self) -> list[int]:
+        """Dual orbit sizes of the split extension (see dual_orbit_sizes)."""
+        return dual_orbit_sizes(self.split)
+
+
+def check_sylow_normality(facts: GroupFacts, p: int) -> CheckOutcome:
     """acd_p below b_p forces a normal Sylow p-subgroup."""
-    spectrum = spectrum if spectrum is not None else degree_spectrum(G)
-    group_id = group_id or f"order-{G.order}"
-    acd = acd_p(spectrum, p)
+    acd = facts.acd(p)
     threshold = b_p(p)
-    syl = sylow_handle if sylow_handle is not None else sylow(G, p, seed=seed)
-    normal = is_normal(G, syl)
+    normal = facts.sylow_normal(p)
     return _outcome(
         "sylow-normal",
-        group_id,
-        G.order,
+        facts.group_id,
+        facts.G.order,
         p,
         acd,
         threshold,
         hypothesis_met=acd < threshold,
         conclusion_holds=normal,
         boundary=acd == threshold,
-        detail=f"sylow order {syl.group.order}, normal={normal}",
+        detail=f"sylow order {facts.sylow(p).group.order}, normal={normal}",
     )
 
 
-def check_p_residual_solvable(
-    G: PermGroup,
-    p: int,
-    *,
-    spectrum: DegreeSpectrum | None = None,
-    sylow_handle: SubgroupHandle | None = None,
-    group_id: str = "",
-    seed: int = 0,
-) -> CheckOutcome:
+def check_p_residual_solvable(facts: GroupFacts, p: int) -> CheckOutcome:
     """acd_p below a_p forces the p-residual O^{p'}(G) to be solvable."""
-    spectrum = spectrum if spectrum is not None else degree_spectrum(G)
-    group_id = group_id or f"order-{G.order}"
-    acd = acd_p(spectrum, p)
+    acd = facts.acd(p)
     threshold = a_p(p)
-    residual = p_residual(G, p, seed=seed, sylow_handle=sylow_handle)
+    residual = p_residual(facts.G, p, sylow_handle=facts.sylow(p))
     solvable = is_solvable(residual.group)
     return _outcome(
         "p-residual-solvable",
-        group_id,
-        G.order,
+        facts.group_id,
+        facts.G.order,
         p,
         acd,
         threshold,
@@ -198,28 +230,17 @@ def check_p_residual_solvable(
     )
 
 
-def check_ito_michler(
-    G: PermGroup,
-    p: int,
-    *,
-    spectrum: DegreeSpectrum | None = None,
-    sylow_handle: SubgroupHandle | None = None,
-    group_id: str = "",
-    seed: int = 0,
-) -> CheckOutcome:
+def check_ito_michler(facts: GroupFacts, p: int) -> CheckOutcome:
     """acd_p(G) = 1 exactly when the Sylow p-subgroup is abelian and normal."""
-    spectrum = spectrum if spectrum is not None else degree_spectrum(G)
-    group_id = group_id or f"order-{G.order}"
-    acd = acd_p(spectrum, p)
-    syl = sylow_handle if sylow_handle is not None else sylow(G, p, seed=seed)
-    abelian = syl.group.is_abelian()
-    normal = abelian if syl.group.order == 1 else is_normal(G, syl)
+    acd = facts.acd(p)
+    abelian = facts.sylow(p).group.is_abelian()
+    normal = facts.sylow_normal(p)
     left = acd == 1
     right = abelian and normal
     return _outcome(
         "ito-michler",
-        group_id,
-        G.order,
+        facts.group_id,
+        facts.G.order,
         p,
         acd,
         Fraction(1),
@@ -229,44 +250,28 @@ def check_ito_michler(
     )
 
 
-def check_quotient_monotonicity(
-    G: PermGroup,
-    N: SubgroupHandle,
-    p: int,
-    *,
-    spectrum: DegreeSpectrum | None = None,
-    quotient_spectrum: DegreeSpectrum | None = None,
-    group_id: str = "",
-    candidate: str = "subgroup",
-    skip_preconditions: bool = False,
-) -> CheckOutcome | None:
+def check_quotient_monotonicity(facts: GroupFacts, N: SubgroupHandle, p: int) -> CheckOutcome | None:
     """With N normal inside G' and acd_p(G) <= p, the quotient average
     cannot exceed the group average.  Returns None when N fails the
     preconditions (that is a skip, not a violation)."""
-    spectrum = spectrum if spectrum is not None else degree_spectrum(G)
-    group_id = group_id or f"order-{G.order}"
-    if not skip_preconditions:
-        if not is_normal(G, N):
-            return None
-        derived = derived_subgroup(G)
-        if not all(derived.group.contains(g) for g in N.group.generators):
-            return None
+    quotient_spectrum = facts.quotient_spectrum(N)
     if quotient_spectrum is None:
-        Q = quotient_group(G, N)
-        quotient_spectrum = spectrum if Q is G else degree_spectrum(Q)
-    acd = acd_p(spectrum, p)
+        return None
+    acd = facts.acd(p)
     acd_quotient = acd_p(quotient_spectrum, p)
+    # N lies inside G', so it is G' exactly when the orders agree
+    label = "derived-subgroup" if N.group.order == facts.derived.group.order else "subgroup"
     return _outcome(
         "quotient-monotone",
-        group_id,
-        G.order,
+        facts.group_id,
+        facts.G.order,
         p,
         acd,
         Fraction(p),
         hypothesis_met=acd <= p,
         conclusion_holds=acd_quotient <= acd,
         boundary=acd_quotient == acd,
-        detail=f"N={candidate} |N|={N.group.order} quotient acd={format_rational(acd_quotient)}",
+        detail=f"N={label} |N|={N.group.order} quotient acd={format_rational(acd_quotient)}",
     )
 
 
@@ -296,19 +301,12 @@ def dual_orbit_sizes(data: SplitExtensionData) -> list[int]:
     return sorted(sizes)
 
 
-def check_orbit_bound(
-    data: SplitExtensionData,
-    p: int,
-    spectrum: DegreeSpectrum,
-    *,
-    group_id: str = "",
-    order: int = 0,
-) -> CheckOutcome:
+def check_orbit_bound(facts: GroupFacts, p: int) -> CheckOutcome:
     """For split G = V . H with acd_p(G) <= p and at least one dual orbit of
     size 1 or divisible by p, some such orbit O satisfies
     |O|(f+1)/(|O|+f) <= acd_p(G) where f counts those orbits."""
-    acd = acd_p(spectrum, p)
-    sizes = dual_orbit_sizes(data)
+    acd = facts.acd(p)
+    sizes = facts.orbit_sizes
     qualifying = [s for s in sizes if s == 1 or s % p == 0]
     f = len(qualifying)
     hypothesis = acd <= p and f >= 1
@@ -323,8 +321,8 @@ def check_orbit_bound(
         detail = f"orbit sizes {sizes}, f=0"
     return _outcome(
         "orbit-bound",
-        group_id or f"order-{order}",
-        order,
+        facts.group_id,
+        facts.G.order,
         p,
         acd,
         Fraction(p),
@@ -431,68 +429,38 @@ class VerificationReport:
 
 
 def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOutcome], list[dict]]:
-    recipe = built.recipe
-    G = built.group
-    gid = recipe.spec
+    facts = GroupFacts.of(built, config.seed)
+    G = facts.G
+    # built per call, so that wrappers put in place of the module's check_*
+    # attributes (perfbench's tracer) are the functions that run
+    checks = [
+        ("sylow-normal", check_sylow_normality),
+        ("p-residual-solvable", check_p_residual_solvable),
+        ("ito-michler", check_ito_michler),
+        ("quotient-monotone", lambda f, p: check_quotient_monotonicity(f, f.derived, p)),
+    ]
+    if facts.split is not None:
+        checks.append(("orbit-bound", check_orbit_bound))
     outcomes: list[CheckOutcome] = []
     table_rows: list[dict] = []
-
-    spectrum = spectrum_of(built)
-    primes = sorted(set(prime_divisors(recipe.order)) | set(_ALWAYS_TESTED_PRIMES))
-
-    derived = derived_subgroup(G)
-    Q = quotient_group(G, derived)
-    quotient_spectrum = spectrum if Q is G else degree_spectrum(Q)
-
-    for p in primes:
-        syl = sylow(G, p, seed=config.seed)
-        for name, fn in (
-            ("sylow-normal", check_sylow_normality),
-            ("p-residual-solvable", check_p_residual_solvable),
-            ("ito-michler", check_ito_michler),
-        ):
+    for p in sorted(set(prime_divisors(G.order)) | set(_ALWAYS_TESTED_PRIMES)):
+        for name, check in checks:
             try:
-                outcomes.append(
-                    fn(G, p, spectrum=spectrum, sylow_handle=syl, group_id=gid, seed=config.seed)
-                )
+                outcomes.append(check(facts, p))
             except Exception as exc:  # recorded, sweep continues
-                outcomes.append(_error_outcome(name, gid, recipe.order, p, exc))
-        try:
-            outcomes.append(
-                check_quotient_monotonicity(
-                    G,
-                    derived,
-                    p,
-                    spectrum=spectrum,
-                    quotient_spectrum=quotient_spectrum,
-                    group_id=gid,
-                    candidate="derived-subgroup",
-                    skip_preconditions=True,
-                )
-            )
-        except Exception as exc:
-            outcomes.append(_error_outcome("quotient-monotone", gid, recipe.order, p, exc))
-        if built.split is not None:
-            try:
-                outcomes.append(
-                    check_orbit_bound(
-                        built.split, p, spectrum, group_id=gid, order=recipe.order
-                    )
-                )
-            except Exception as exc:
-                outcomes.append(_error_outcome("orbit-bound", gid, recipe.order, p, exc))
+                outcomes.append(_error_outcome(name, facts.group_id, G.order, p, exc))
         if (
             config.tabulate_normalizers
-            and recipe.order <= _NORMALIZER_TABLE_ORDER_CAP
-            and recipe.order % p == 0
+            and G.order <= _NORMALIZER_TABLE_ORDER_CAP
+            and G.order % p == 0
         ):
-            nz = normalizer(G, syl)
+            nz = normalizer(G, facts.sylow(p))
             table_rows.append(
                 {
-                    "group": gid,
+                    "group": facts.group_id,
                     "p": p,
-                    "normalizer_index": recipe.order // nz.group.order,
-                    "acd": format_rational(acd_p(spectrum, p)),
+                    "normalizer_index": G.order // nz.group.order,
+                    "acd": format_rational(facts.acd(p)),
                 }
             )
     return outcomes, table_rows
@@ -504,16 +472,11 @@ def run_catalog(config: VerifyConfig) -> VerificationReport:
     started = time.perf_counter()
     report = VerificationReport(config=config)
     for recipe in iter_catalog(config.max_order):
-        t0 = time.perf_counter()
         try:
-            built = build(recipe)
-            outcomes, table_rows = _group_checks(built, config)
+            outcomes, table_rows = _group_checks(build(recipe), config)
         except Exception as exc:
             outcomes = [_error_outcome("spectrum", recipe.spec, recipe.order, None, exc)]
             table_rows = []
-        if config.timings:
-            elapsed = (time.perf_counter() - t0) * 1000.0 / max(len(outcomes), 1)
-            outcomes = [replace(o, elapsed_ms=round(elapsed, 3)) for o in outcomes]
         report.checks.extend(outcomes)
         report.normalizer_table.extend(table_rows)
     if config.lie:

@@ -120,6 +120,9 @@ def test_enumeration_cap():
     with pytest.raises(GroupTooLargeError, match="order 120 exceeds cap 119"):
         G.elements(cap=119)
     assert len(G.elements(cap=G.order)) == G.order
+    # once the list is cached, a smaller cap is still refused
+    with pytest.raises(GroupTooLargeError, match="order 120 exceeds cap 5"):
+        G.elements(cap=5)
 
 
 def test_orbit_discovery_order_and_limit():

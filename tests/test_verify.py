@@ -1,15 +1,17 @@
 """Tests for the theorem verifier: single checks, sweeps, reports."""
 
+import collections
 import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
+from chardeg import verify
 from chardeg.constructions import build, iter_catalog
-from chardeg.dixon import DegreeSpectrum, degree_spectrum
 from chardeg.subgroups import derived_subgroup, subgroup, sylow
 from chardeg.verify import (
+    GroupFacts,
     VerificationReport,
     VerifyConfig,
     check_ito_michler,
@@ -21,12 +23,16 @@ from chardeg.verify import (
     run_catalog,
 )
 
-from support import built_of, group_of
+from support import built_of
+
+
+def facts_of(spec: str) -> GroupFacts:
+    return GroupFacts.of(built_of(spec))
 
 
 def test_sylow_normal_confirmed_s3_p3():
-    G = group_of("sym:3")
-    out = check_sylow_normality(G, 3, group_id="sym:3")
+    facts = facts_of("sym:3")
+    out = check_sylow_normality(facts, 3)
     assert out.verdict == "confirmed"
     assert out.acd == Fraction(1)
     assert out.threshold == Fraction(3, 2)
@@ -35,8 +41,8 @@ def test_sylow_normal_confirmed_s3_p3():
 
 
 def test_sylow_normal_vacuous_boundary_s3_p2():
-    G = group_of("sym:3")
-    out = check_sylow_normality(G, 2, group_id="sym:3")
+    facts = facts_of("sym:3")
+    out = check_sylow_normality(facts, 2)
     assert out.verdict == "vacuous"
     assert out.acd == Fraction(4, 3)
     assert out.threshold == Fraction(4, 3)
@@ -45,8 +51,8 @@ def test_sylow_normal_vacuous_boundary_s3_p2():
 
 
 def test_sylow_normal_boundary_agl1_11_p5():
-    G = group_of("agl1:11")
-    out = check_sylow_normality(G, 5, group_id="agl1:11")
+    facts = facts_of("agl1:11")
+    out = check_sylow_normality(facts, 5)
     assert out.verdict == "vacuous"
     assert out.acd == Fraction(20, 11)
     assert out.threshold == Fraction(20, 11)
@@ -54,9 +60,9 @@ def test_sylow_normal_boundary_agl1_11_p5():
 
 
 def test_p_residual_boundary_alt5():
-    G = group_of("alt:5")
+    facts = facts_of("alt:5")
     for p, expected_acd in [(2, Fraction(5, 2)), (3, Fraction(7, 3))]:
-        out = check_p_residual_solvable(G, p, group_id="alt:5")
+        out = check_p_residual_solvable(facts, p)
         assert out.verdict == "vacuous"
         assert out.acd == expected_acd
         assert out.boundary
@@ -64,81 +70,83 @@ def test_p_residual_boundary_alt5():
 
 
 def test_p_residual_confirmed_sym4():
-    G = group_of("sym:4")
-    out = check_p_residual_solvable(G, 2, group_id="sym:4")
+    facts = facts_of("sym:4")
+    out = check_p_residual_solvable(facts, 2)
     # acd_2 = 4/3 < 5/2 and the 2-residual (all of S_4) is solvable
     assert out.verdict == "confirmed"
     assert out.acd == Fraction(4, 3)
     assert "solvable=True" in out.detail
 
-    out_sylow = check_sylow_normality(G, 2, group_id="sym:4")
+    out_sylow = check_sylow_normality(facts, 2)
     assert out_sylow.verdict == "vacuous"  # 4/3 is not strictly below b_2
     assert out_sylow.boundary
     assert not out_sylow.conclusion_holds
 
 
 def test_ito_michler_cases():
-    out = check_ito_michler(group_of("sym:3"), 3, group_id="sym:3")
+    out = check_ito_michler(facts_of("sym:3"), 3)
     assert out.verdict == "confirmed"  # acd_3 = 1, Sylow 3 abelian normal
 
-    out2 = check_ito_michler(group_of("sym:3"), 2, group_id="sym:3")
+    out2 = check_ito_michler(facts_of("sym:3"), 2)
     assert out2.verdict == "confirmed"  # acd_2 > 1, Sylow 2 not normal
 
-    out3 = check_ito_michler(group_of("alt:5"), 5, group_id="alt:5")
+    out3 = check_ito_michler(facts_of("alt:5"), 5)
     assert out3.verdict == "confirmed"
     assert "acd=1:False" in out3.detail
 
     # p not dividing the order: trivial Sylow counts as abelian and normal
-    out4 = check_ito_michler(group_of("sym:3"), 7, group_id="sym:3")
+    out4 = check_ito_michler(facts_of("sym:3"), 7)
     assert out4.verdict == "confirmed"
     assert "acd=1:True" in out4.detail
 
 
 def test_quotient_monotone_s4_v4():
-    G = group_of("sym:4")
+    facts = facts_of("sym:4")
+    G = facts.G
     A4 = derived_subgroup(G)
     V4 = derived_subgroup(A4.group)
     N = subgroup(G, V4.group.generators)
     assert N.group.order == 4
-    out = check_quotient_monotonicity(G, N, 2, group_id="sym:4", candidate="klein")
+    out = check_quotient_monotonicity(facts, N, 2)
     assert out is not None
     assert out.verdict == "confirmed"
     assert out.acd == Fraction(4, 3)
     # quotient is sym:3, also with acd_2 = 4/3: equality, marked boundary
-    assert "quotient acd=4/3" in out.detail
+    assert "N=subgroup |N|=4 quotient acd=4/3" in out.detail
     assert out.boundary
 
 
 def test_quotient_monotone_equality_boundary():
-    G = group_of("cyclic:6")
-    N = sylow(G, 3)
-    out = check_quotient_monotonicity(G, N, 2, group_id="cyclic:6")
+    facts = facts_of("cyclic:6")
+    N = sylow(facts.G, 3)
+    out = check_quotient_monotonicity(facts, N, 2)
     # N = C_3 is inside the derived subgroup only if G' contains it; for an
     # abelian group the derived subgroup is trivial, so this is a skip
     assert out is None
 
 
 def test_quotient_monotone_skips_non_normal():
-    G = group_of("sym:4")
-    H = sylow(G, 2)  # not normal
-    out = check_quotient_monotonicity(G, H, 2, group_id="sym:4")
+    facts = facts_of("sym:4")
+    H = sylow(facts.G, 2)  # not normal
+    out = check_quotient_monotonicity(facts, H, 2)
     assert out is None
 
 
 def test_quotient_monotone_skips_outside_derived():
-    G = group_of("sym:4")
-    A4 = derived_subgroup(G)  # normal but the test needs N <= G'; A4 = G' works
-    out = check_quotient_monotonicity(G, A4, 2, group_id="sym:4")
+    facts = facts_of("sym:4")
+    A4 = derived_subgroup(facts.G)  # normal but the test needs N <= G'; A4 = G' works
+    out = check_quotient_monotonicity(facts, A4, 2)
     assert out is not None  # A4 is exactly G', allowed
     assert out.verdict == "confirmed"
+    # a handle other than facts.derived, labelled by its order
+    assert "N=derived-subgroup |N|=12" in out.detail
 
 
 def test_orbit_bound_agl1_11():
-    built = built_of("agl1:11")
-    sp = degree_spectrum(built.group)
-    sizes = dual_orbit_sizes(built.split)
+    facts = facts_of("agl1:11")
+    sizes = dual_orbit_sizes(facts.split)
     assert sizes == [10]
-    out = check_orbit_bound(built.split, 5, sp, group_id="agl1:11", order=110)
+    out = check_orbit_bound(facts, 5)
     assert out.verdict == "confirmed"
     assert out.acd == Fraction(20, 11)
     assert out.boundary  # 10 * 2 / 11 == acd exactly
@@ -146,11 +154,10 @@ def test_orbit_bound_agl1_11():
 
 
 def test_orbit_bound_frob_7_1_3():
-    built = built_of("frob:7:1:3")
-    sp = degree_spectrum(built.group)
-    sizes = dual_orbit_sizes(built.split)
+    facts = facts_of("frob:7:1:3")
+    sizes = dual_orbit_sizes(facts.split)
     assert sizes == [3, 3]
-    out = check_orbit_bound(built.split, 3, sp, group_id="frob:7:1:3", order=21)
+    out = check_orbit_bound(facts, 3)
     assert out.verdict == "confirmed"
     assert out.acd == Fraction(9, 5)
     assert out.boundary  # 3 * 3 / 5 == 9/5
@@ -158,19 +165,17 @@ def test_orbit_bound_frob_7_1_3():
 
 
 def test_orbit_bound_trivial_complement():
-    built = built_of("frob:5:1:1")  # kernel alone, no complement
-    sp = degree_spectrum(built.group)
-    sizes = dual_orbit_sizes(built.split)
+    facts = facts_of("frob:5:1:1")  # kernel alone, no complement
+    sizes = dual_orbit_sizes(facts.split)
     assert sizes == [1, 1, 1, 1]
-    out = check_orbit_bound(built.split, 5, sp, group_id="frob:5:1:1", order=5)
+    out = check_orbit_bound(facts, 5)
     assert out.verdict == "confirmed"
 
 
 def test_orbit_bound_f0_is_vacuous():
-    built = built_of("frob:3:1:2")  # sym:3; dual orbits have size 2
-    sp = degree_spectrum(built.group)
-    assert dual_orbit_sizes(built.split) == [2]
-    out = check_orbit_bound(built.split, 5, sp, group_id="frob:3:1:2", order=6)
+    facts = facts_of("frob:3:1:2")  # sym:3; dual orbits have size 2
+    assert dual_orbit_sizes(facts.split) == [2]
+    out = check_orbit_bound(facts, 5)
     assert out.verdict == "vacuous"  # no orbit of size 1 or divisible by 5
     assert "f=0" in out.detail
 
@@ -259,6 +264,42 @@ def test_run_catalog_small_sweep():
     assert ("psl2:5", "p-residual-solvable", 2) in boundary
 
 
+def test_sweep_derives_each_fact_once(monkeypatch):
+    calls = collections.defaultdict(collections.Counter)
+    alive = []  # keeps the counted objects alive, so their ids stay distinct
+
+    def count(name, key):
+        original = getattr(verify, name)
+
+        def counted(*args, **kwargs):
+            alive.append(args[0])
+            calls[name][key(*args)] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, counted)
+
+    count("sylow", lambda G, p: (id(G), p))
+    count("derived_subgroup", id)
+    count("quotient_group", lambda G, N: id(G))
+    count("dual_orbit_sizes", id)
+    count("acd_p", lambda spectrum, p: p)
+    report = run_catalog(VerifyConfig(max_order=60))
+    assert report.summary["errors"] == 0
+    pairs = {(c.group, c.p) for c in report.checks}
+    groups = {c.group for c in report.checks}
+    split = {c.group for c in report.checks if c.check == "orbit-bound"}
+    assert split
+    for name, expected in [
+        ("sylow", len(pairs)),
+        ("derived_subgroup", len(groups)),
+        ("quotient_group", len(groups)),
+        ("dual_orbit_sizes", len(split)),
+    ]:
+        assert len(calls[name]) == expected, name
+        assert set(calls[name].values()) == {1}, name
+    assert sum(calls["acd_p"].values()) <= 2 * len(pairs)
+
+
 def test_report_json_shape_and_determinism():
     cfg = VerifyConfig(max_order=30, lie=True)
     r1 = run_catalog(cfg)
@@ -286,7 +327,7 @@ def test_report_timings_flag():
     report = run_catalog(cfg)
     payload = json.loads(report.to_json())
     assert "total_seconds" in payload
-    assert all("elapsed_ms" in row for row in payload["checks"])
+    assert all("elapsed_ms" not in row for row in payload["checks"])
 
     quiet = json.loads(run_catalog(VerifyConfig(max_order=12)).to_json())
     assert "total_seconds" not in quiet
