@@ -36,13 +36,13 @@ def acd_p(spectrum: DegreeSpectrum, p: int) -> Fraction:
     return Fraction(sum(degs), len(degs))
 
 
-def ell(p: int, cap: int = ELL_SEARCH_CAP) -> int:
+def ell(p: int) -> int:
     """Least multiplier l >= 1 such that l*p + 1 is a prime power."""
     _require_prime(p)
-    for m in range(1, cap + 1):
+    for m in range(1, ELL_SEARCH_CAP + 1):
         if is_prime_power(m * p + 1):
             return m
-    raise RuntimeError(f"no multiplier below {cap} for p = {p}")
+    raise RuntimeError(f"no multiplier below {ELL_SEARCH_CAP} for p = {p}")
 
 
 def b_p(p: int) -> Fraction:

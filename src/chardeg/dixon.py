@@ -293,11 +293,11 @@ def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, 
     return spaces
 
 
-def dixon_degrees(cs: ClassStructure, class_cap: int = CLASS_CAP) -> DegreeSpectrum:
+def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
     """Character degree spectrum from a class structure."""
     k = len(cs.reps)
-    if k > class_cap:
-        raise ClassCountError(f"{k} classes exceed the solver cap of {class_cap}")
+    if k > CLASS_CAP:
+        raise ClassCountError(f"{k} classes exceed the solver cap of {CLASS_CAP}")
     order = cs.order
     if k == 1:
         return DegreeSpectrum((1,), 1)

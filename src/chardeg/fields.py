@@ -1,4 +1,4 @@
-"""Small finite fields with explicit element tables.
+"""Small finite fields, every operation polynomial arithmetic over GF(r).
 
 Elements of GF(r^m) are encoded as integers in [0, r^m): the base-r digits
 of an encoding are the coefficients of a polynomial in the generator, least

@@ -244,7 +244,7 @@ def _split_components(gens: list[Perm]) -> list[_Component]:
 class PermGroup:
     """Group generated by permutations, all of the same degree."""
 
-    def __init__(self, generators, degree: int | None = None, *, max_points: int = MAX_POINTS):
+    def __init__(self, generators, degree: int | None = None):
         gens: list[Perm] = []
         for g in generators:
             g = tuple(g)
@@ -255,8 +255,8 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree required for a group with no moving generators")
             degree = len(gens[0])
-        if degree > max_points:
-            raise ValueError(f"degree {degree} exceeds the {max_points}-point cap")
+        if degree > MAX_POINTS:
+            raise ValueError(f"degree {degree} exceeds the {MAX_POINTS}-point cap")
         if any(len(g) != degree for g in gens):
             raise ValueError("generators act on different point sets")
         self.degree = degree
@@ -360,9 +360,9 @@ def _conjugation(g: Perm):
     return lambda x: by_inverse(itemgetter(*x)(g))
 
 
-def conjugacy_classes(G: PermGroup, cap: int = ENUMERATION_CAP) -> ClassStructure:
+def conjugacy_classes(G: PermGroup) -> ClassStructure:
     """Full class partition of G; requires |G| within the enumeration cap."""
-    elements = G.elements(cap)
+    elements = G.elements()
     maps = [_conjugation(g) for g in G.generators]
     seen: set[Perm] = set()
     class_of: dict[Perm, int] = {}

@@ -29,6 +29,7 @@ rather than silently returning a wrong witness set.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -167,115 +168,53 @@ class CoverageResult:
         return not self.missing
 
 
-_FAMILIES_WITH_RANK = {
-    "psl",
-    "psu",
-    "psp",
-    "omega_odd",
-    "pomega_plus",
-    "pomega_minus",
-    "omega_plus",
-}
-_FAMILIES_FIXED = {"sp4", "g2", "f4", "e6", "e7"}
+_Pairs = tuple[list[tuple[str, Fraction]], list[str]]
+
+
+@dataclass(frozen=True)
+class _Family:
+    """One family: |G| = q^N * prod(pieces) / centre with N the Steinberg
+    exponent, its rank and characteristic rules, and its witness formulas."""
+
+    steinberg: Callable[[int | None], int]
+    pieces: Callable[[int, int | None], list[int]]
+    witnesses: Callable[[int | None, int, int], _Pairs]
+    min_rank: int | None = None  # None: fixed rank, n must be None
+    centre: Callable[[int, int | None], int] = lambda q, n: 1
+    char_ok: Callable[[int], bool] = lambda r: True
+    char_error: str = ""
+
+    def order(self, q: int, n: int | None) -> int:
+        return q ** self.steinberg(n) * prod(self.pieces(q, n)) // self.centre(q, n)
 
 
 def validate(spec: LieFamilySpec) -> tuple[int, int]:
     """Check parameter ranges; return (characteristic, field exponent)."""
     fam, q, n = spec.family, spec.q, spec.n
-    if fam not in _FAMILIES_WITH_RANK | _FAMILIES_FIXED:
+    family = _FAMILIES.get(fam)
+    if family is None:
         raise UnsupportedFamilyError(f"unknown family {fam!r}")
     if not (2 <= q <= _Q_CAP) or not is_prime_power(q):
         raise ValueError(f"q = {q} must be a prime power in [2, {_Q_CAP}]")
     r, f = prime_power_decomposition(q)
-    if fam in _FAMILIES_WITH_RANK:
-        if n is None:
-            raise ValueError(f"family {fam} needs a rank parameter")
-        if not 2 <= n <= _N_CAP:
-            raise ValueError(f"rank {n} out of range [2, {_N_CAP}]")
-        if fam == "psu" and n < 3:
-            raise ValueError("psu needs n >= 3")
-        if fam in ("pomega_plus", "pomega_minus", "omega_plus") and n < 4:
-            raise ValueError(f"{fam} needs n >= 4")
-        if fam in ("psp", "omega_odd", "pomega_plus", "pomega_minus") and r == 2:
-            raise UnsupportedFamilyError(
-                f"{fam} witness formulas here cover odd characteristic only"
-            )
-        if fam == "omega_plus" and r != 2:
-            raise UnsupportedFamilyError(
-                "omega_plus is the even-characteristic family; use pomega_plus for odd q"
-            )
-    else:
+    if family.min_rank is None:
         if n is not None:
             raise ValueError(f"family {fam} takes no rank parameter")
-        if fam == "sp4" and r != 2:
-            raise UnsupportedFamilyError("sp4 is even-characteristic; use psp:2 for odd q")
-        if fam == "g2" and r != 3:
-            raise UnsupportedFamilyError("g2 witness formulas here cover powers of 3 only")
-        if fam == "f4" and r != 2:
-            raise UnsupportedFamilyError("f4 witness formulas here cover powers of 2 only")
+    elif n is None:
+        raise ValueError(f"family {fam} needs a rank parameter")
+    elif not 2 <= n <= _N_CAP:
+        raise ValueError(f"rank {n} out of range [2, {_N_CAP}]")
+    elif n < family.min_rank:
+        raise ValueError(f"{fam} needs n >= {family.min_rank}")
+    if not family.char_ok(r):
+        raise UnsupportedFamilyError(family.char_error.format(fam))
     return r, f
 
 
 def group_order(spec: LieFamilySpec) -> int:
     """Order of the simple group the spec names."""
-    r, _ = validate(spec)
-    fam, q, n = spec.family, spec.q, spec.n
-    if fam == "psl":
-        return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1)) // gcd(
-            n, q - 1
-        )
-    if fam == "psu":
-        return q ** (n * (n - 1) // 2) * prod(
-            q**i - (-1) ** i for i in range(2, n + 1)
-        ) // gcd(n, q + 1)
-    if fam in ("psp", "omega_odd"):
-        return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1)) // gcd(
-            2, q - 1
-        )
-    if fam in ("pomega_plus", "omega_plus"):
-        return (
-            q ** (n * (n - 1))
-            * (q**n - 1)
-            * prod(q ** (2 * i) - 1 for i in range(1, n))
-            // gcd(4, q**n - 1)
-        )
-    if fam == "pomega_minus":
-        return (
-            q ** (n * (n - 1))
-            * (q**n + 1)
-            * prod(q ** (2 * i) - 1 for i in range(1, n))
-            // gcd(4, q**n + 1)
-        )
-    if fam == "sp4":
-        return q**4 * (q**2 - 1) * (q**4 - 1)
-    if fam == "g2":
-        return q**6 * (q**6 - 1) * (q**2 - 1)
-    if fam == "f4":
-        return q**24 * prod(q**d - 1 for d in (2, 6, 8, 12))
-    if fam == "e6":
-        return (
-            q**36 * prod(q**d - 1 for d in (2, 5, 6, 8, 9, 12)) // gcd(3, q - 1)
-        )
-    if fam == "e7":
-        return (
-            q**63
-            * prod(q**d - 1 for d in (2, 6, 8, 10, 12, 14, 18))
-            // gcd(2, q - 1)
-        )
-    raise UnsupportedFamilyError(fam)
-
-
-def _steinberg_exponent(spec: LieFamilySpec) -> int:
-    fam, n = spec.family, spec.n
-    if fam == "psl":
-        return n * (n - 1) // 2
-    if fam == "psu":
-        return n * (n - 1) // 2
-    if fam in ("psp", "omega_odd"):
-        return n * n
-    if fam in ("pomega_plus", "pomega_minus", "omega_plus"):
-        return n * (n - 1)
-    return {"sp4": 4, "g2": 6, "f4": 24, "e6": 36, "e7": 63}[fam]
+    validate(spec)
+    return _FAMILIES[spec.family].order(spec.q, spec.n)
 
 
 def _atlas_reject(name: str) -> UnsupportedFamilyError:
@@ -285,13 +224,7 @@ def _atlas_reject(name: str) -> UnsupportedFamilyError:
     )
 
 
-def _as_int(label: str, value: Fraction) -> int:
-    if value.denominator != 1 or value <= 0:
-        raise ArithmeticError(f"witness {label} is not a positive integer: {value}")
-    return int(value)
-
-
-def _psl_witnesses(n: int, q: int, r: int) -> tuple[list[tuple[str, Fraction]], list[str]]:
+def _psl_witnesses(n: int, q: int, r: int) -> _Pairs:
     Q = Fraction(q)
     if n == 2:
         if r == 2:
@@ -346,7 +279,7 @@ def _psl_witnesses(n: int, q: int, r: int) -> tuple[list[tuple[str, Fraction]], 
     ], []
 
 
-def _psu_witnesses(n: int, q: int, r: int) -> tuple[list[tuple[str, Fraction]], list[str]]:
+def _psu_witnesses(n: int, q: int, r: int) -> _Pairs:
     Q = Fraction(q)
 
     def su(i: int) -> Fraction:
@@ -379,28 +312,28 @@ def _psu_witnesses(n: int, q: int, r: int) -> tuple[list[tuple[str, Fraction]], 
     ], []
 
 
-def _psp_witnesses(n: int, q: int) -> list[tuple[str, Fraction]]:
+def _psp_witnesses(n: int, q: int, r: int) -> _Pairs:
     Q = Fraction(q)
     theta = (Q**n - 1) * prod(Q ** (2 * i) - 1 for i in range(1, n))
     chi = Q * (Q**n + 1) * (Q ** (n - 1) - 1) / (2 * (Q - 1))
-    return [("theta", theta), ("chi", chi)]
+    return [("theta", theta), ("chi", chi)], []
 
 
-def _pomega_minus_witnesses(n: int, q: int) -> list[tuple[str, Fraction]]:
+def _pomega_minus_witnesses(n: int, q: int, r: int) -> _Pairs:
     Q = Fraction(q)
     theta = prod(Q ** (2 * i) - 1 for i in range(1, n))
     chi = Q * (Q**n + 1) * (Q ** (n - 2) - 1) / (Q**2 - 1)
-    return [("theta", theta), ("chi", chi)]
+    return [("theta", theta), ("chi", chi)], []
 
 
-def _pomega_plus_witnesses(n: int, q: int) -> list[tuple[str, Fraction]]:
+def _pomega_plus_witnesses(n: int, q: int, r: int) -> _Pairs:
     Q = Fraction(q)
     if n == 4:
         return [
             ("chi_a", Q * (Q**2 + 1) ** 2),
             ("chi_b", Q**3 * (Q - 1) ** 4 * (Q**2 + Q + 1) / 2),
             ("chi_c", Q**3 * (Q + 1) ** 4 * (Q**2 - Q + 1) / 2),
-        ]
+        ], []
     core = (Q**n - 1) * prod(Q ** (2 * i) - 1 for i in range(1, n))
     if n % 2 == 0:
         theta1 = core / ((Q**2 + 1) * (Q ** (n - 2) + 1))
@@ -409,13 +342,13 @@ def _pomega_plus_witnesses(n: int, q: int) -> list[tuple[str, Fraction]]:
         else:
             eps = 1 if q % 4 == 1 else -1
             theta2 = core / ((Q + eps) * (Q ** (n - 1) + eps))
-        return [("theta_1", theta1), ("theta_2", theta2)]
+        return [("theta_1", theta1), ("theta_2", theta2)], []
     theta = prod(Q ** (2 * i) - 1 for i in range(1, n))
     chi = Q * (Q**n - 1) * (Q ** (n - 2) + 1) / (Q**2 - 1)
-    return [("theta", theta), ("chi", chi)]
+    return [("theta", theta), ("chi", chi)], []
 
 
-def _omega_plus_even_witnesses(n: int, q: int) -> list[tuple[str, Fraction]]:
+def _omega_plus_even_witnesses(n: int, q: int, r: int) -> _Pairs:
     if (n, q) == (4, 2):
         raise _atlas_reject("Omega+_8(2)")
     Q = Fraction(q)
@@ -423,118 +356,163 @@ def _omega_plus_even_witnesses(n: int, q: int) -> list[tuple[str, Fraction]]:
         (Q + 1) * (Q ** (n - 1) + 1)
     )
     chi_u = (Q ** (2 * n) - Q**2) / (Q**2 - 1)
-    return [("chi_semisimple", chi_s), ("unipotent", chi_u)]
+    return [("chi_semisimple", chi_s), ("unipotent", chi_u)], []
+
+
+def _sp4_witnesses(n: None, q: int, r: int) -> _Pairs:
+    if q == 2:
+        raise _atlas_reject("Sp_4(2), whose derived group is A_6")
+    Q = Fraction(q)
+    return [
+        ("chi_a", Q * (Q - 1) ** 2 / 2),
+        ("chi_b", Q * (Q + 1) ** 2 / 2),
+        ("chi_c", Q * (Q**2 + 1) / 2),
+    ], []
+
+
+def _cyclotomic_degree(q: int, a: int, phis: dict[int, int], denom: int = 1) -> Fraction:
+    """q^a * prod(Phi_k(q)^e for k: e in phis) / denom."""
+    return Fraction(q**a * prod(phi(k, q) ** e for k, e in phis.items()), denom)
+
+
+def _g2_witnesses(n: None, q: int, r: int) -> _Pairs:
+    pairs = [
+        ("phi_3_6", _cyclotomic_degree(q, 1, {3: 1, 6: 1}, 3)),
+        ("phi_1_2", _cyclotomic_degree(q, 1, {1: 2, 2: 2}, 3)),
+    ]
+    # the second entry needs the factor q to be an integer at all; the
+    # bare (1/3)*Phi_1^2*Phi_2^2 is not integral at q = 3
+    return pairs, ["q-factor-included-in-phi_1_2-witness"]
+
+
+def _f4_witnesses(n: None, q: int, r: int) -> _Pairs:
+    return [
+        ("chi_cuspidal", _cyclotomic_degree(q, 3, {4: 2, 8: 1, 12: 1})),
+        ("chi_quarter", _cyclotomic_degree(q, 4, {1: 4, 2: 4, 3: 2, 6: 2}, 4)),
+    ], []
+
+
+def _e6_witnesses(n: None, q: int, r: int) -> _Pairs:
+    cuspidal = _cyclotomic_degree(q, 7, {1: 6, 2: 4, 4: 2, 5: 1, 8: 1}, 3)
+    return [
+        ("chi_unipotent", _cyclotomic_degree(q, 6, {3: 3, 6: 2, 9: 1, 12: 1})),
+        ("cuspidal_theta_1", cuspidal),
+        ("cuspidal_theta_2", cuspidal),
+    ], ["cuspidal-pair-shares-one-degree"]
+
+
+def _e7_witnesses(n: None, q: int, r: int) -> _Pairs:
+    cuspidal = _cyclotomic_degree(q, 7, {1: 6, 2: 6, 4: 2, 5: 1, 7: 1, 8: 1, 10: 1, 14: 1}, 3)
+    return [
+        ("chi_small", _cyclotomic_degree(q, 2, {3: 2, 6: 2, 9: 1, 12: 1, 18: 1})),
+        ("chi_medium", _cyclotomic_degree(q, 5, {3: 2, 6: 2, 7: 1, 9: 1, 12: 1, 14: 1, 18: 1})),
+        ("cuspidal_theta_1", cuspidal),
+        ("cuspidal_theta_2", cuspidal),
+    ], ["cuspidal-pair-shares-one-degree"]
+
+
+def _type_a(eps: int) -> dict:
+    """Order data of PSL_n(q) (eps = 1) and PSU_n(q) (eps = -1)."""
+    return dict(
+        steinberg=lambda n: n * (n - 1) // 2,
+        pieces=lambda q, n: [q**i - eps**i for i in range(2, n + 1)],
+        centre=lambda q, n: gcd(n, q - eps),
+    )
+
+
+def _type_d(eps: int) -> dict:
+    """Order data and least rank of the POmega^+ (eps = 1) and POmega^-
+    (eps = -1) groups."""
+    return dict(
+        min_rank=4,
+        steinberg=lambda n: n * (n - 1),
+        pieces=lambda q, n: [q**n - eps] + [q ** (2 * i) - 1 for i in range(1, n)],
+        centre=lambda q, n: gcd(4, q**n - eps),
+    )
+
+
+def _fixed_rank(steinberg: int, *degrees: int) -> dict:
+    """Order data q^N * prod(q^d - 1) of a fixed-rank family, N = steinberg."""
+    return dict(
+        steinberg=lambda n: steinberg,
+        pieces=lambda q, n: [q**d - 1 for d in degrees],
+    )
+
+
+_ODD_ONLY = dict(
+    char_ok=lambda r: r != 2,
+    char_error="{} witness formulas here cover odd characteristic only",
+)
+_PSP = _Family(
+    min_rank=2,
+    steinberg=lambda n: n * n,
+    pieces=lambda q, n: [q ** (2 * i) - 1 for i in range(1, n + 1)],
+    centre=lambda q, n: gcd(2, q - 1),
+    witnesses=_psp_witnesses,
+    **_ODD_ONLY,
+)
+_D_PLUS = _type_d(1)
+
+_FAMILIES: dict[str, _Family] = {
+    "psl": _Family(**_type_a(1), min_rank=2, witnesses=_psl_witnesses),
+    "psu": _Family(**_type_a(-1), min_rank=3, witnesses=_psu_witnesses),
+    "psp": _PSP,
+    "omega_odd": _PSP,
+    "pomega_plus": _Family(**_D_PLUS, witnesses=_pomega_plus_witnesses, **_ODD_ONLY),
+    "pomega_minus": _Family(**_type_d(-1), witnesses=_pomega_minus_witnesses, **_ODD_ONLY),
+    "omega_plus": _Family(
+        **_D_PLUS,
+        witnesses=_omega_plus_even_witnesses,
+        char_ok=lambda r: r == 2,
+        char_error="omega_plus is the even-characteristic family; use pomega_plus for odd q",
+    ),
+    "sp4": _Family(
+        **_fixed_rank(4, 2, 4),
+        witnesses=_sp4_witnesses,
+        char_ok=lambda r: r == 2,
+        char_error="sp4 is even-characteristic; use psp:2 for odd q",
+    ),
+    "g2": _Family(
+        **_fixed_rank(6, 6, 2),
+        witnesses=_g2_witnesses,
+        char_ok=lambda r: r == 3,
+        char_error="g2 witness formulas here cover powers of 3 only",
+    ),
+    "f4": _Family(
+        **_fixed_rank(24, 2, 6, 8, 12),
+        witnesses=_f4_witnesses,
+        char_ok=lambda r: r == 2,
+        char_error="f4 witness formulas here cover powers of 2 only",
+    ),
+    "e6": _Family(
+        **_fixed_rank(36, 2, 5, 6, 8, 9, 12),
+        centre=lambda q, n: gcd(3, q - 1),
+        witnesses=_e6_witnesses,
+    ),
+    "e7": _Family(
+        **_fixed_rank(63, 2, 6, 8, 10, 12, 14, 18),
+        centre=lambda q, n: gcd(2, q - 1),
+        witnesses=_e7_witnesses,
+    ),
+}
 
 
 def witness_degrees(spec: LieFamilySpec) -> WitnessSet:
     """Witness character degrees with the Steinberg degree, all verified to
     be positive integers dividing the group order."""
     r, _ = validate(spec)
-    fam, q, n = spec.family, spec.q, spec.n
-    Q = Fraction(q)
-    flags: list[str] = []
-
-    if fam == "psl":
-        pairs, flags = _psl_witnesses(n, q, r)
-    elif fam == "psu":
-        pairs, flags = _psu_witnesses(n, q, r)
-    elif fam in ("psp", "omega_odd"):
-        pairs = _psp_witnesses(n, q)
-    elif fam == "pomega_minus":
-        pairs = _pomega_minus_witnesses(n, q)
-    elif fam == "pomega_plus":
-        pairs = _pomega_plus_witnesses(n, q)
-    elif fam == "omega_plus":
-        pairs = _omega_plus_even_witnesses(n, q)
-    elif fam == "sp4":
-        if q == 2:
-            raise _atlas_reject("Sp_4(2), whose derived group is A_6")
-        pairs = [
-            ("chi_a", Q * (Q - 1) ** 2 / 2),
-            ("chi_b", Q * (Q + 1) ** 2 / 2),
-            ("chi_c", Q * (Q**2 + 1) / 2),
-        ]
-    elif fam == "g2":
-        pairs = [
-            ("phi_3_6", Q * phi(3, q) * phi(6, q) / 3),
-            ("phi_1_2", Q * phi(1, q) ** 2 * phi(2, q) ** 2 / 3),
-        ]
-        # the second entry needs the factor q to be an integer at all; the
-        # bare (1/3)*Phi_1^2*Phi_2^2 is not integral at q = 3
-        flags.append("q-factor-included-in-phi_1_2-witness")
-    elif fam == "f4":
-        pairs = [
-            ("chi_cuspidal", Q**3 * phi(4, q) ** 2 * phi(8, q) * phi(12, q)),
-            (
-                "chi_quarter",
-                Q**4 * phi(1, q) ** 4 * phi(2, q) ** 4 * phi(3, q) ** 2 * phi(6, q) ** 2 / 4,
-            ),
-        ]
-    elif fam == "e6":
-        cuspidal = (
-            Q**7
-            * phi(1, q) ** 6
-            * phi(2, q) ** 4
-            * phi(4, q) ** 2
-            * phi(5, q)
-            * phi(8, q)
-            / 3
-        )
-        pairs = [
-            ("chi_unipotent", Q**6 * phi(3, q) ** 3 * phi(6, q) ** 2 * phi(9, q) * phi(12, q)),
-            ("cuspidal_theta_1", cuspidal),
-            ("cuspidal_theta_2", cuspidal),
-        ]
-        flags.append("cuspidal-pair-shares-one-degree")
-    elif fam == "e7":
-        cuspidal = (
-            Q**7
-            * phi(1, q) ** 6
-            * phi(2, q) ** 6
-            * phi(4, q) ** 2
-            * phi(5, q)
-            * phi(7, q)
-            * phi(8, q)
-            * phi(10, q)
-            * phi(14, q)
-            / 3
-        )
-        pairs = [
-            (
-                "chi_small",
-                Q**2
-                * phi(3, q) ** 2
-                * phi(6, q) ** 2
-                * phi(9, q)
-                * phi(12, q)
-                * phi(18, q),
-            ),
-            (
-                "chi_medium",
-                Q**5
-                * phi(3, q) ** 2
-                * phi(6, q) ** 2
-                * phi(7, q)
-                * phi(9, q)
-                * phi(12, q)
-                * phi(14, q)
-                * phi(18, q),
-            ),
-            ("cuspidal_theta_1", cuspidal),
-            ("cuspidal_theta_2", cuspidal),
-        ]
-        flags.append("cuspidal-pair-shares-one-degree")
-    else:
-        raise UnsupportedFamilyError(fam)
-
-    order = group_order(spec)
+    family, q, n = _FAMILIES[spec.family], spec.q, spec.n
+    pairs, flags = family.witnesses(n, q, r)
+    order = family.order(q, n)
     witnesses = []
     for label, value in pairs:
-        d = _as_int(label, Fraction(value))
+        if value.denominator != 1 or value <= 0:
+            raise ArithmeticError(f"witness {label} is not a positive integer: {value}")
+        d = int(value)
         if order % d:
             raise InvariantError(f"witness {label} = {d} does not divide |G| = {order}")
         witnesses.append(Witness(label, d))
-    st = q ** _steinberg_exponent(spec)
+    st = q ** family.steinberg(n)
     if order % st:
         raise InvariantError(f"steinberg degree {st} does not divide |G| = {order}")
     return WitnessSet(
@@ -546,42 +524,14 @@ def witness_degrees(spec: LieFamilySpec) -> WitnessSet:
     )
 
 
-def _order_prime_candidates(spec: LieFamilySpec) -> set[int]:
-    """Primes from factoring the small structural pieces of the order."""
-    r, _ = validate(spec)
-    fam, q, n = spec.family, spec.q, spec.n
-    pieces: list[int] = [q]
-    if fam == "psl":
-        pieces += [q**i - 1 for i in range(2, n + 1)]
-    elif fam == "psu":
-        pieces += [q**i - (-1) ** i for i in range(2, n + 1)]
-    elif fam in ("psp", "omega_odd"):
-        pieces += [q ** (2 * i) - 1 for i in range(1, n + 1)]
-    elif fam in ("pomega_plus", "omega_plus"):
-        pieces += [q**n - 1] + [q ** (2 * i) - 1 for i in range(1, n)]
-    elif fam == "pomega_minus":
-        pieces += [q**n + 1] + [q ** (2 * i) - 1 for i in range(1, n)]
-    elif fam == "sp4":
-        pieces += [q**2 - 1, q**4 - 1]
-    elif fam == "g2":
-        pieces += [q**6 - 1, q**2 - 1]
-    elif fam == "f4":
-        pieces += [q**d - 1 for d in (2, 6, 8, 12)]
-    elif fam == "e6":
-        pieces += [q**d - 1 for d in (2, 5, 6, 8, 9, 12)]
-    elif fam == "e7":
-        pieces += [q**d - 1 for d in (2, 6, 8, 10, 12, 14, 18)]
-    out: set[int] = set()
-    for piece in pieces:
-        out.update(factorize(piece))
-    return out
-
-
 def prime_coverage_check(spec: LieFamilySpec) -> CoverageResult:
     """Do the witness degrees hit every prime divisor of the group order?"""
     ws = witness_degrees(spec)
     order = ws.order
-    candidates = _order_prime_candidates(spec)
+    # primes from factoring q and the small structural pieces of the order
+    candidates: set[int] = set()
+    for piece in [spec.q] + _FAMILIES[spec.family].pieces(spec.q, spec.n):
+        candidates.update(factorize(piece))
     residue = order
     for p in sorted(candidates):
         while residue % p == 0:

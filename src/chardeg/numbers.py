@@ -7,7 +7,7 @@ runs factor identically.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import gcd
 
 # Below 3.3 * 10^24 these bases make Miller-Rabin a proven primality test;
 # beyond that the fixed-base test is heuristic but deterministic.
@@ -56,8 +56,8 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime_factor(n: int, bound: int = TRIAL_DIVISION_BOUND) -> int | None:
-    """Least prime factor of n found by trial division up to bound, else None."""
+def smallest_prime_factor(n: int) -> int | None:
+    """Least prime factor of n by trial division up to TRIAL_DIVISION_BOUND, else None."""
     if n < 2:
         return None
     if n % 2 == 0:
@@ -65,7 +65,7 @@ def smallest_prime_factor(n: int, bound: int = TRIAL_DIVISION_BOUND) -> int | No
     if n % 3 == 0:
         return 3
     f = 5
-    while f <= bound and f * f <= n:
+    while f <= TRIAL_DIVISION_BOUND and f * f <= n:
         if n % f == 0:
             return f
         if n % (f + 2) == 0:
@@ -138,11 +138,11 @@ def _brent_rho(n: int) -> int:
     raise FactorizationError(f"rho schedule exhausted on cofactor {n}")
 
 
-def factorize(n: int, ceiling: int = FACTORIZATION_CEILING) -> list[int]:
+def factorize(n: int) -> list[int]:
     """Sorted prime factors of n with multiplicity; [] for n = 1.
 
     Trial division to 10^6, then Brent rho on what remains.  A composite
-    cofactor above the ceiling raises FactorizationError naming it.
+    cofactor above FACTORIZATION_CEILING raises FactorizationError naming it.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -167,8 +167,10 @@ def factorize(n: int, ceiling: int = FACTORIZATION_CEILING) -> list[int]:
         if is_prime(m):
             factors.append(m)
             continue
-        if m > ceiling:
-            raise FactorizationError(f"composite cofactor {m} exceeds ceiling {ceiling}")
+        if m > FACTORIZATION_CEILING:
+            raise FactorizationError(
+                f"composite cofactor {m} exceeds ceiling {FACTORIZATION_CEILING}"
+            )
         d = _brent_rho(m)
         stack.append(d)
         stack.append(m // d)

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .groups import ENUMERATION_CAP, MAX_POINTS, GroupTooLargeError, PermGroup, orbit
+from .groups import MAX_POINTS, GroupTooLargeError, PermGroup, orbit
 from .numbers import InvariantError
 from .perms import (
     Perm,
@@ -25,6 +25,7 @@ from .perms import (
 )
 
 _SYLOW_RANDOM_TRIES = 200
+_DERIVED_SERIES_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ def derived_subgroup(G: PermGroup) -> SubgroupHandle:
     return SubgroupHandle(normal_closure(G, comms), G)
 
 
-def derived_series(G: PermGroup, max_steps: int = 64) -> list[PermGroup]:
+def derived_series(G: PermGroup) -> list[PermGroup]:
     """G, [G,G], [[G,G],[G,G]], ... until stable or trivial."""
     series = [G]
-    while len(series) <= max_steps:
+    while len(series) <= _DERIVED_SERIES_STEPS:
         nxt = derived_subgroup(series[-1]).group
         series.append(nxt)
         if nxt.order == 1 or nxt.order == series[-2].order:
@@ -216,11 +217,11 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     return Q
 
 
-def normalizer(G: PermGroup, H: SubgroupHandle, cap: int = ENUMERATION_CAP) -> SubgroupHandle:
+def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
     """N_G(H) by scanning the elements of G; meant for small groups."""
     HG = H.group
     hgens = HG.generators
     members = [
-        g for g in G.elements(cap) if all(HG.contains(conjugate(h, g)) for h in hgens)
+        g for g in G.elements() if all(HG.contains(conjugate(h, g)) for h in hgens)
     ]
     return SubgroupHandle(PermGroup(members, degree=G.degree), G)

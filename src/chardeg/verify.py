@@ -59,14 +59,21 @@ class CheckOutcome:
     group: str
     order: int
     p: int | None
-    acd: Fraction | None
-    threshold: Fraction | None
-    hypothesis_met: bool
-    conclusion_holds: bool
-    verdict: str
+    acd: Fraction | None = None
+    threshold: Fraction | None = None
+    hypothesis_met: bool = False
+    conclusion_holds: bool = False
     boundary: bool = False
     detail: str = ""
     error: str | None = None
+
+    @property
+    def verdict(self) -> str:
+        if self.error is not None:
+            return "error"
+        if not self.hypothesis_met:
+            return "vacuous"
+        return "confirmed" if self.conclusion_holds else "VIOLATION"
 
     def to_dict(self) -> dict:
         out = {
@@ -88,61 +95,13 @@ class CheckOutcome:
         return out
 
 
-def _outcome(
-    check: str,
-    group: str,
-    order: int,
-    p: int | None,
-    acd: Fraction | None,
-    threshold: Fraction | None,
-    hypothesis_met: bool,
-    conclusion_holds: bool,
-    boundary: bool = False,
-    detail: str = "",
-) -> CheckOutcome:
-    if hypothesis_met and not conclusion_holds:
-        verdict = "VIOLATION"
-    elif hypothesis_met:
-        verdict = "confirmed"
-    else:
-        verdict = "vacuous"
-    return CheckOutcome(
-        check=check,
-        group=group,
-        order=order,
-        p=p,
-        acd=acd,
-        threshold=threshold,
-        hypothesis_met=hypothesis_met,
-        conclusion_holds=conclusion_holds,
-        verdict=verdict,
-        boundary=boundary,
-        detail=detail,
-    )
-
-
-def _error_outcome(check: str, group: str, order: int, p: int | None, exc: Exception) -> CheckOutcome:
-    return CheckOutcome(
-        check=check,
-        group=group,
-        order=order,
-        p=p,
-        acd=None,
-        threshold=None,
-        hypothesis_met=False,
-        conclusion_holds=False,
-        verdict="error",
-        error=f"{type(exc).__name__}: {exc}",
-    )
-
-
 @dataclass
 class GroupFacts:
     """What the checks read about one group, each fact derived once.
 
     The spectrum and the split data come with G.  The Sylow p-subgroups and
-    their normality, acd_p, G', the quotient spectra and the dual orbit
-    sizes are computed on first use and kept.
+    their normality, acd_p, G' and whether G is solvable, the quotient
+    spectra and the dual orbit sizes are computed on first use and kept.
     """
 
     group_id: str
@@ -174,6 +133,12 @@ class GroupFacts:
     def derived(self) -> SubgroupHandle:
         return derived_subgroup(self.G)
 
+    @cached_property
+    def solvable(self) -> bool:
+        """G is solvable exactly when G' is trivial, or proper and solvable."""
+        derived = self.derived.group
+        return derived.order == 1 or (derived.order < self.G.order and is_solvable(derived))
+
     def quotient_spectrum(self, N: SubgroupHandle) -> DegreeSpectrum | None:
         """Spectrum of G/N, or None when N is not normal or not inside G'."""
         return self._once(("quotient", N.group.generators), lambda: self._quotient_spectrum(N))
@@ -196,7 +161,7 @@ def check_sylow_normality(facts: GroupFacts, p: int) -> CheckOutcome:
     acd = facts.acd(p)
     threshold = b_p(p)
     normal = facts.sylow_normal(p)
-    return _outcome(
+    return CheckOutcome(
         "sylow-normal",
         facts.group_id,
         facts.G.order,
@@ -214,9 +179,10 @@ def check_p_residual_solvable(facts: GroupFacts, p: int) -> CheckOutcome:
     """acd_p below a_p forces the p-residual O^{p'}(G) to be solvable."""
     acd = facts.acd(p)
     threshold = a_p(p)
-    residual = p_residual(facts.G, p, sylow_handle=facts.sylow(p))
-    solvable = is_solvable(residual.group)
-    return _outcome(
+    residual = p_residual(facts.G, p, sylow_handle=facts.sylow(p)).group
+    # a subgroup of a solvable group is solvable
+    solvable = facts.solvable or (residual.order < facts.G.order and is_solvable(residual))
+    return CheckOutcome(
         "p-residual-solvable",
         facts.group_id,
         facts.G.order,
@@ -226,7 +192,7 @@ def check_p_residual_solvable(facts: GroupFacts, p: int) -> CheckOutcome:
         hypothesis_met=acd < threshold,
         conclusion_holds=solvable,
         boundary=acd == threshold,
-        detail=f"p-residual order {residual.group.order}, solvable={solvable}",
+        detail=f"p-residual order {residual.order}, solvable={solvable}",
     )
 
 
@@ -237,7 +203,7 @@ def check_ito_michler(facts: GroupFacts, p: int) -> CheckOutcome:
     normal = facts.sylow_normal(p)
     left = acd == 1
     right = abelian and normal
-    return _outcome(
+    return CheckOutcome(
         "ito-michler",
         facts.group_id,
         facts.G.order,
@@ -261,7 +227,7 @@ def check_quotient_monotonicity(facts: GroupFacts, N: SubgroupHandle, p: int) ->
     acd_quotient = acd_p(quotient_spectrum, p)
     # N lies inside G', so it is G' exactly when the orders agree
     label = "derived-subgroup" if N.group.order == facts.derived.group.order else "subgroup"
-    return _outcome(
+    return CheckOutcome(
         "quotient-monotone",
         facts.group_id,
         facts.G.order,
@@ -319,7 +285,7 @@ def check_orbit_bound(facts: GroupFacts, p: int) -> CheckOutcome:
         conclusion = False
         boundary = False
         detail = f"orbit sizes {sizes}, f=0"
-    return _outcome(
+    return CheckOutcome(
         "orbit-bound",
         facts.group_id,
         facts.G.order,
@@ -343,7 +309,7 @@ def lie_coverage_outcome(spec) -> CheckOutcome:
         detail += f", flags {list(cov.flags)}"
     if cov.missing:
         detail += f", missing {list(cov.missing)}"
-    return _outcome(
+    return CheckOutcome(
         "lie-coverage",
         spec.tag,
         cov.order,
@@ -448,7 +414,8 @@ def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOu
             try:
                 outcomes.append(check(facts, p))
             except Exception as exc:  # recorded, sweep continues
-                outcomes.append(_error_outcome(name, facts.group_id, G.order, p, exc))
+                error = f"{type(exc).__name__}: {exc}"
+                outcomes.append(CheckOutcome(name, facts.group_id, G.order, p, error=error))
         if (
             config.tabulate_normalizers
             and G.order <= _NORMALIZER_TABLE_ORDER_CAP
@@ -475,7 +442,8 @@ def run_catalog(config: VerifyConfig) -> VerificationReport:
         try:
             outcomes, table_rows = _group_checks(build(recipe), config)
         except Exception as exc:
-            outcomes = [_error_outcome("spectrum", recipe.spec, recipe.order, None, exc)]
+            error = f"{type(exc).__name__}: {exc}"
+            outcomes = [CheckOutcome("spectrum", recipe.spec, recipe.order, None, error=error)]
             table_rows = []
         report.checks.extend(outcomes)
         report.normalizer_table.extend(table_rows)
@@ -484,6 +452,7 @@ def run_catalog(config: VerifyConfig) -> VerificationReport:
             try:
                 report.checks.append(lie_coverage_outcome(spec))
             except Exception as exc:
-                report.checks.append(_error_outcome("lie-coverage", spec.tag, 0, None, exc))
+                error = f"{type(exc).__name__}: {exc}"
+                report.checks.append(CheckOutcome("lie-coverage", spec.tag, 0, None, error=error))
     report.total_seconds = round(time.perf_counter() - started, 3)
     return report

@@ -5,14 +5,12 @@ Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line per
 criterion.
 """
 
-import json
 import time
 from fractions import Fraction
 
 import pytest
 
 from chardeg.acd import a_p, acd_p, b_p, ell
-from chardeg.constructions import spectrum_of
 from chardeg.dixon import degree_spectrum
 from chardeg.fields import finite_field
 from chardeg.groups import conjugacy_classes
@@ -22,7 +20,7 @@ from chardeg.subgroups import derived_subgroup, is_normal, is_solvable, p_residu
 from chardeg.verify import VerifyConfig, run_catalog
 
 from oracle import oracle_degrees
-from support import built_of, group_of
+from support import group_of
 
 
 class Budget:

@@ -153,7 +153,7 @@ def test_degree_count_equals_class_count():
 def test_class_cap_enforced():
     cs = conjugacy_classes(group_of("cyclic:200"))
     with pytest.raises(ClassCountError):
-        dixon_degrees(cs, class_cap=150)
+        dixon_degrees(cs)
     assert CLASS_CAP == 150
 
 

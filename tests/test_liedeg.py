@@ -7,6 +7,7 @@ of the small groups involved before being pinned here.
 
 import pytest
 
+from chardeg import liedeg
 from chardeg.liedeg import (
     CoverageResult,
     IntPoly,
@@ -69,6 +70,17 @@ def test_group_orders():
     assert group_order(LieFamilySpec("g2", 3)) == 4245696
     assert group_order(LieFamilySpec("psu", 2, 4)) == 25920
     assert group_order(LieFamilySpec("psp", 3, 2)) == 25920
+    # ATLAS orders of the families not pinned above
+    assert group_order(LieFamilySpec("omega_odd", 3, 3)) == 4_585_351_680
+    assert group_order(LieFamilySpec("pomega_plus", 3, 4)) == 4_952_179_814_400
+    assert group_order(LieFamilySpec("pomega_minus", 3, 4)) == 10_151_968_619_520
+    assert group_order(LieFamilySpec("omega_plus", 2, 5)) == 23_499_295_948_800
+    assert group_order(LieFamilySpec("f4", 2)) == 3_311_126_603_366_400
+    assert group_order(LieFamilySpec("e6", 2)) == 214_841_575_522_005_575_270_400
+    assert (
+        group_order(LieFamilySpec("e7", 2))
+        == 7_997_476_042_075_799_759_100_487_262_680_802_918_400
+    )
 
 
 def test_psl2_witnesses():
@@ -249,6 +261,21 @@ def test_default_matrix_coverage():
         assert cov.missing == ()
         assert set(cov.primes_of_order) == set(prime_divisors(cov.order))
         assert set(cov.primes_covered) == set(cov.primes_of_order)
+        # the Steinberg degree is the full r-part of |G|, r the characteristic
+        r = prime_divisors(spec.q)[0]
+        r_part, rest = 1, cov.order
+        while rest % r == 0:
+            r_part, rest = r_part * r, rest // r
+        steinberg = [w.degree for w in cov.witnesses if w.label == "steinberg"]
+        assert steinberg == [r_part], spec.tag
+
+
+def test_coverage_validates_each_spec_once(monkeypatch):
+    calls = []
+    original = liedeg.validate
+    monkeypatch.setattr(liedeg, "validate", lambda spec: calls.append(spec) or original(spec))
+    prime_coverage_check(LieFamilySpec("e7", 2))
+    assert calls == [LieFamilySpec("e7", 2)]
 
 
 def test_coverage_detail_psl27():

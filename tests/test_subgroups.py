@@ -1,13 +1,11 @@
 """Tests for subgroup operations: derived series, Sylow subgroups, quotients."""
 
-import random
-
 import pytest
 
 from chardeg import subgroups
-from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
+from chardeg.groups import GroupTooLargeError, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
-from chardeg.perms import conjugate, identity_perm, inverse, mult
+from chardeg.perms import conjugate
 from chardeg.subgroups import (
     derived_series,
     derived_subgroup,

@@ -36,6 +36,26 @@ def test_package_has_no_assert_statements(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]  # __init__ re-exports
+MODULES += sorted((ROOT / "tests").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_uses_every_name_it_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = {name: line for name, line in imported.items() if name not in used}
+    assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
 def benchmark_reference(workload: str):
     return json.loads((ROOT / "perfbench" / "reference.json").read_text())[workload]
 

@@ -9,7 +9,7 @@ import pytest
 
 from chardeg import verify
 from chardeg.constructions import build, iter_catalog
-from chardeg.subgroups import derived_subgroup, subgroup, sylow
+from chardeg.subgroups import derived_subgroup, is_solvable, subgroup, sylow
 from chardeg.verify import (
     GroupFacts,
     VerificationReport,
@@ -283,6 +283,7 @@ def test_sweep_derives_each_fact_once(monkeypatch):
     count("quotient_group", lambda G, N: id(G))
     count("dual_orbit_sizes", id)
     count("acd_p", lambda spectrum, p: p)
+    count("is_solvable", id)
     report = run_catalog(VerifyConfig(max_order=60))
     assert report.summary["errors"] == 0
     pairs = {(c.group, c.p) for c in report.checks}
@@ -298,6 +299,14 @@ def test_sweep_derives_each_fact_once(monkeypatch):
         assert len(calls[name]) == expected, name
         assert set(calls[name].values()) == {1}, name
     assert sum(calls["acd_p"].values()) <= 2 * len(pairs)
+    # one call for G' per nonabelian group; a p-residual is only tested
+    # when G itself is not solvable
+    catalog = {recipe.spec: build(recipe).group for recipe in iter_catalog(60)}
+    nonabelian = [spec for spec, G in catalog.items() if not G.is_abelian()]
+    nonsolvable = {spec for spec, G in catalog.items() if not is_solvable(G)}
+    assert nonsolvable
+    bound = len(nonabelian) + sum(1 for group, _ in pairs if group in nonsolvable)
+    assert sum(calls["is_solvable"].values()) <= bound
 
 
 def test_report_json_shape_and_determinism():
@@ -354,16 +363,16 @@ def test_exit_codes():
     bad = CheckOutcome(
         check="sylow-normal", group="g", order=6, p=2, acd=Fraction(1),
         threshold=Fraction(4, 3), hypothesis_met=True, conclusion_holds=False,
-        verdict="VIOLATION",
     )
+    assert bad.verdict == "VIOLATION"
     report.checks.append(bad)
     assert report.exit_code == 1
 
     err = CheckOutcome(
         check="spectrum", group="g", order=6, p=None, acd=None, threshold=None,
-        hypothesis_met=False, conclusion_holds=False, verdict="error",
-        error="RuntimeError: boom",
+        hypothesis_met=False, conclusion_holds=False, error="RuntimeError: boom",
     )
+    assert err.verdict == "error"
     report_err = VerificationReport(config=VerifyConfig())
     report_err.checks.append(err)
     assert report_err.exit_code == 2
