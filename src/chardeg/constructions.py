@@ -10,8 +10,9 @@ downstream orbit computations consume.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
 from .fields import finite_field
@@ -32,6 +33,7 @@ _PRODUCT_POOL_LEFT = (
     "psl2:7",
 )
 _PRODUCT_POOL_EXTRA = ("sym:3xsym:3", "sym:3xalt:4", "sym:3xsym:4")
+_EXTRASPECIAL_PRIMES = (3, 5)
 
 
 @dataclass(frozen=True)
@@ -70,18 +72,65 @@ class BuiltGroup:
     factors: tuple["BuiltGroup", ...] = ()
 
 
-def cyclic(n: int) -> PermGroup:
+def _cyclic_order(n: int) -> int:
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    if n == 1:
+    return n
+
+
+def _dihedral_order(n: int) -> int:
+    if n < 3:
+        raise ValueError("dihedral index must be at least 3")
+    return 2 * n
+
+
+def _sym_order(n: int) -> int:
+    if n < 1:
+        raise ValueError("symmetric index must be positive")
+    return factorial(n)
+
+
+def _alt_order(n: int) -> int:
+    if n < 3:
+        raise ValueError("alternating index must be at least 3")
+    return factorial(n) // 2
+
+
+def _agl1_order(q: int) -> int:
+    if not is_prime_power(q):
+        raise ValueError(f"agl1 requires a prime power, got {q}")
+    return q * (q - 1)
+
+
+def _frob_order(r: int, m: int, d: int) -> int:
+    if not is_prime(r):
+        raise ValueError(f"frob base {r} is not prime")
+    if m < 1 or d < 1 or (r**m - 1) % d != 0:
+        raise ValueError(f"frob order {d} must divide {r}^{m} - 1")
+    return r**m * d
+
+
+def _psl2_order(q: int) -> int:
+    if not is_prime_power(q) or q < 4:
+        raise ValueError("psl2 requires a prime power q >= 4")
+    return q * (q * q - 1) // (2 if q % 2 else 1)
+
+
+def _extraspecial_order(p: int) -> int:
+    if p not in _EXTRASPECIAL_PRIMES:
+        raise ValueError("extraspecial recipe supports p in {3, 5}")
+    return p**3
+
+
+def cyclic(n: int) -> PermGroup:
+    if _cyclic_order(n) == 1:
         return PermGroup([], degree=1)
     return PermGroup([from_cycles([tuple(range(n))], n)])
 
 
 def dihedral(n: int) -> PermGroup:
     """Symmetries of a regular n-gon, order 2n, n >= 3."""
-    if n < 3:
-        raise ValueError("dihedral index must be at least 3")
+    _dihedral_order(n)
     rotation = from_cycles([tuple(range(n))], n)
     reflection = tuple((n - i) % n for i in range(n))
     return PermGroup([rotation, reflection])
@@ -92,9 +141,7 @@ def dihedral_class_count(n: int) -> int:
 
 
 def sym(n: int) -> PermGroup:
-    if n < 1:
-        raise ValueError("symmetric index must be positive")
-    if n == 1:
+    if _sym_order(n) == 1:
         return PermGroup([], degree=1)
     gens = [from_cycles([(0, 1)], n)]
     if n > 2:
@@ -103,8 +150,7 @@ def sym(n: int) -> PermGroup:
 
 
 def alt(n: int) -> PermGroup:
-    if n < 3:
-        raise ValueError("alternating index must be at least 3")
+    _alt_order(n)
     gens = [from_cycles([(0, 1, 2)], n)]
     if n > 3:
         if n % 2 == 1:
@@ -134,15 +180,10 @@ def frobenius(r: int, m: int, d: int) -> tuple[PermGroup, SplitExtensionData]:
     d must divide r^m - 1; d = 1 gives the elementary abelian kernel alone
     and d = r^m - 1 recovers the full one-dimensional affine group.
     """
-    if not is_prime(r):
-        raise ValueError(f"{r} is not prime")
-    if m < 1:
-        raise ValueError("field degree must be positive")
+    order = _frob_order(r, m, d)
     q = r**m
     if q > MAX_POINTS:
         raise ValueError(f"field size {q} exceeds the point cap")
-    if d < 1 or (q - 1) % d != 0:
-        raise ValueError(f"order {d} does not divide {q - 1}")
     F = finite_field(q)
     kernel = tuple(_translation_perm(F, r**i) for i in range(m))
     if d > 1:
@@ -153,8 +194,8 @@ def frobenius(r: int, m: int, d: int) -> tuple[PermGroup, SplitExtensionData]:
         complement = ()
         matrices = ()
     G = PermGroup(list(kernel) + list(complement), degree=q)
-    if G.order != q * d:
-        raise InvariantError(f"affine group has order {G.order}, not {q * d}")
+    if G.order != order:
+        raise InvariantError(f"affine group has order {G.order}, not {order}")
     return G, SplitExtensionData(r, m, kernel, complement, matrices)
 
 
@@ -169,8 +210,7 @@ PSL2_SUPPORTED = frozenset({4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27})
 
 def psl2(q: int) -> PermGroup:
     """PSL_2(q) acting on the q + 1 points of the projective line."""
-    if not is_prime_power(q) or q < 4:
-        raise ValueError("psl2 requires a prime power q >= 4")
+    expected = _psl2_order(q)
     if q not in PSL2_SUPPORTED:
         raise ValueError(f"psl2({q}) is outside the supported set {sorted(PSL2_SUPPORTED)}")
     if q + 1 > MAX_POINTS:
@@ -200,7 +240,6 @@ def psl2(q: int) -> PermGroup:
     gens = [matrix_perm(((1, r**i), (0, 1))) for i in range(F.degree)]
     gens.append(matrix_perm(((0, 1), (F.neg(1), 0))))
     G = PermGroup(gens, degree=q + 1)
-    expected = q * (q * q - 1) // (2 if q % 2 else 1)
     if G.order != expected:
         raise InvariantError(f"PSL(2, {q}) has order {G.order}, not {expected}")
     return G
@@ -208,9 +247,7 @@ def psl2(q: int) -> PermGroup:
 
 def extraspecial(p: int) -> PermGroup:
     """Extraspecial group of order p^3 and exponent p, for p in {3, 5}."""
-    if p not in (3, 5):
-        raise ValueError("extraspecial recipe supports p in {3, 5}")
-    cube = p**3
+    cube = _extraspecial_order(p)
 
     def idx(a: int, b: int, c: int) -> int:
         return (a * p + b) * p + c
@@ -247,12 +284,33 @@ def direct_product(groups: list[PermGroup]) -> PermGroup:
     return PermGroup(gens, degree=degree)
 
 
-_ATOM_ORDERS = {
-    "cyclic": lambda n: n,
-    "dihedral": lambda n: 2 * n,
-    "sym": factorial,
-    "alt": lambda n: factorial(n) // 2,
+@dataclass(frozen=True)
+class _Kind:
+    """One recipe kind: its parameter count, its order function, which
+    rejects bad parameters with the recipe error text and returns |G|, and
+    its constructor, which returns the group or the group and split data."""
+
+    arity: int
+    order: Callable[..., int]
+    make: Callable[..., PermGroup | tuple[PermGroup, SplitExtensionData]]
+
+
+_KINDS: dict[str, _Kind] = {
+    "cyclic": _Kind(1, _cyclic_order, cyclic),
+    "dihedral": _Kind(1, _dihedral_order, dihedral),
+    "sym": _Kind(1, _sym_order, sym),
+    "alt": _Kind(1, _alt_order, alt),
+    "agl1": _Kind(1, _agl1_order, agl1),
+    "frob": _Kind(3, _frob_order, frobenius),
+    "psl2": _Kind(1, _psl2_order, psl2),
+    "extraspecial": _Kind(1, _extraspecial_order, extraspecial),
 }
+
+
+def _kind(name: str) -> _Kind:
+    if name not in _KINDS:
+        raise ValueError(f"unknown group kind {name!r}")
+    return _KINDS[name]
 
 
 def _parse_atom(text: str) -> GroupRecipe:
@@ -261,51 +319,10 @@ def _parse_atom(text: str) -> GroupRecipe:
     if not raw or not all(re.fullmatch(r"[0-9]+", x) for x in raw):
         raise ValueError(f"malformed group spec atom {text!r}")
     params = tuple(int(x) for x in raw)
-
-    def arity(k: int):
-        if len(params) != k:
-            raise ValueError(f"{kind} takes {k} parameter(s), got {text!r}")
-
-    if kind in ("cyclic", "dihedral", "sym", "alt"):
-        arity(1)
-        n = params[0]
-        if kind == "cyclic" and n < 1:
-            raise ValueError("cyclic order must be positive")
-        if kind == "dihedral" and n < 3:
-            raise ValueError("dihedral index must be at least 3")
-        if kind == "sym" and n < 1:
-            raise ValueError("symmetric index must be positive")
-        if kind == "alt" and n < 3:
-            raise ValueError("alternating index must be at least 3")
-        order = _ATOM_ORDERS[kind](n)
-    elif kind == "agl1":
-        arity(1)
-        q = params[0]
-        if not is_prime_power(q):
-            raise ValueError(f"agl1 requires a prime power, got {q}")
-        order = q * (q - 1)
-    elif kind == "frob":
-        arity(3)
-        r, m, d = params
-        if not is_prime(r):
-            raise ValueError(f"frob base {r} is not prime")
-        if m < 1 or d < 1 or (r**m - 1) % d != 0:
-            raise ValueError(f"frob order {d} must divide {r}^{m} - 1")
-        order = r**m * d
-    elif kind == "psl2":
-        arity(1)
-        q = params[0]
-        if not is_prime_power(q) or q < 4:
-            raise ValueError("psl2 requires a prime power q >= 4")
-        order = q * (q * q - 1) // (2 if q % 2 else 1)
-    elif kind == "extraspecial":
-        arity(1)
-        if params[0] not in (3, 5):
-            raise ValueError("extraspecial recipe supports p in {3, 5}")
-        order = params[0] ** 3
-    else:
-        raise ValueError(f"unknown group kind {kind!r}")
-    return GroupRecipe(spec=text, kind=kind, params=params, order=order)
+    entry = _kind(kind)
+    if len(params) != entry.arity:
+        raise ValueError(f"{kind} takes {entry.arity} parameter(s), got {text!r}")
+    return GroupRecipe(spec=text, kind=kind, params=params, order=entry.order(*params))
 
 
 def parse_group_spec(text: str) -> GroupRecipe:
@@ -318,14 +335,11 @@ def parse_group_spec(text: str) -> GroupRecipe:
     atoms = tuple(_parse_atom(p) for p in parts)
     if len(atoms) == 1:
         return atoms[0]
-    order = 1
-    for a in atoms:
-        order *= a.order
     return GroupRecipe(
         spec="x".join(a.spec for a in atoms),
         kind="product",
         params=(),
-        order=order,
+        order=prod(a.order for a in atoms),
         factors=atoms,
     )
 
@@ -336,26 +350,10 @@ def build(recipe: GroupRecipe) -> BuiltGroup:
         factors = tuple(build(f) for f in recipe.factors)
         G = direct_product([f.group for f in factors])
         built = BuiltGroup(recipe=recipe, group=G, factors=factors)
-    elif recipe.kind == "cyclic":
-        built = BuiltGroup(recipe, cyclic(recipe.params[0]))
-    elif recipe.kind == "dihedral":
-        built = BuiltGroup(recipe, dihedral(recipe.params[0]))
-    elif recipe.kind == "sym":
-        built = BuiltGroup(recipe, sym(recipe.params[0]))
-    elif recipe.kind == "alt":
-        built = BuiltGroup(recipe, alt(recipe.params[0]))
-    elif recipe.kind == "agl1":
-        G, split = agl1(recipe.params[0])
-        built = BuiltGroup(recipe, G, split=split)
-    elif recipe.kind == "frob":
-        G, split = frobenius(*recipe.params)
-        built = BuiltGroup(recipe, G, split=split)
-    elif recipe.kind == "psl2":
-        built = BuiltGroup(recipe, psl2(recipe.params[0]))
-    elif recipe.kind == "extraspecial":
-        built = BuiltGroup(recipe, extraspecial(recipe.params[0]))
     else:
-        raise ValueError(f"unknown group kind {recipe.kind!r}")
+        made = _kind(recipe.kind).make(*recipe.params)
+        G, split = made if isinstance(made, tuple) else (made, None)
+        built = BuiltGroup(recipe, G, split=split)
     if built.group.order != recipe.order:
         raise InvariantError(
             f"{recipe.kind} recipe declares order {recipe.order}, built {built.group.order}"
@@ -382,32 +380,18 @@ def iter_catalog(max_order: int):
     for n in range(4, max_order // 2 + 1):
         if dihedral_class_count(n) <= CLASS_CAP:
             specs.append(f"dihedral:{n}")
-    specs.extend(f"sym:{n}" for n in range(3, 8) if factorial(n) <= max_order)
-    specs.extend(f"alt:{n}" for n in range(4, 9) if factorial(n) // 2 <= max_order)
-    for q in range(3, MAX_POINTS):
-        if is_prime_power(q) and q * (q - 1) <= max_order:
-            specs.append(f"agl1:{q}")
+    specs.extend(f"sym:{n}" for n in range(3, 8))
+    specs.extend(f"alt:{n}" for n in range(4, 9))
+    specs.extend(f"agl1:{q}" for q in range(3, MAX_POINTS) if is_prime_power(q))
     for q in range(3, FROBENIUS_FIELD_CAP + 1):
         if not is_prime_power(q):
             continue
         r, m = prime_power_decomposition(q)
-        for d in range(2, q - 1):
-            if (q - 1) % d == 0 and q * d <= max_order:
-                specs.append(f"frob:{r}:{m}:{d}")
-    for q in (4, 5, 7, 8, 9, 11, 13):
-        if q * (q * q - 1) // (2 if q % 2 else 1) <= max_order:
-            specs.append(f"psl2:{q}")
-    for p in (3, 5):
-        if p**3 <= max_order:
-            specs.append(f"extraspecial:{p}")
-    for left in _PRODUCT_POOL_LEFT:
-        left_order = parse_group_spec(left).order
-        for m in range(2, 8):
-            if left_order * m <= max_order:
-                specs.append(f"{left}xcyclic:{m}")
-    for spec in _PRODUCT_POOL_EXTRA:
-        if parse_group_spec(spec).order <= max_order:
-            specs.append(spec)
+        specs.extend(f"frob:{r}:{m}:{d}" for d in range(2, q - 1) if (q - 1) % d == 0)
+    specs.extend(f"psl2:{q}" for q in (4, 5, 7, 8, 9, 11, 13))
+    specs.extend(f"extraspecial:{p}" for p in _EXTRASPECIAL_PRIMES)
+    specs.extend(f"{left}xcyclic:{m}" for left in _PRODUCT_POOL_LEFT for m in range(2, 8))
+    specs.extend(_PRODUCT_POOL_EXTRA)
 
     recipes = [parse_group_spec(s) for s in sorted(set(specs))]
     recipes = [r for r in recipes if r.order <= max_order]

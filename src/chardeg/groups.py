@@ -150,15 +150,19 @@ def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
 
 
 class _Component:
-    """Generators whose supports form one connected block."""
+    """Generators whose supports form one connected block.
 
-    __slots__ = ("gens", "support", "_levels", "_cyclic_orbits")
+    A single generator g is handled as the cyclic group it generates, whose
+    order (the order of g) is worked out once, here.
+    """
+
+    __slots__ = ("gens", "support", "_levels", "_cyclic_order")
 
     def __init__(self, gens: list[Perm], support: frozenset[int]):
         self.gens = gens
         self.support = support
         self._levels: list[_Level] | None = None
-        self._cyclic_orbits = None
+        self._cyclic_order = perm_order(gens[0]) if len(gens) == 1 else None
 
     @property
     def is_cyclic_shortcut(self) -> bool:
@@ -166,7 +170,7 @@ class _Component:
 
     def order(self) -> int:
         if self.is_cyclic_shortcut:
-            return perm_order(self.gens[0])
+            return self._cyclic_order
         out = 1
         for lv in self.levels():
             out *= len(lv.transversal)
@@ -197,7 +201,7 @@ class _Component:
                 orbit_len += 1
             candidate = perm_power(g, k)
             step = perm_power(g, orbit_len)
-            for _ in range(perm_order(g) // orbit_len):
+            for _ in range(self._cyclic_order // orbit_len):
                 if all(candidate[i] == p[i] for i in self.support):
                     return True
                 candidate = mult(candidate, step)
@@ -211,8 +215,7 @@ class _Component:
 
     def random_element(self, rng: random.Random) -> Perm:
         if self.is_cyclic_shortcut:
-            g = self.gens[0]
-            return perm_power(g, rng.randrange(perm_order(g)))
+            return perm_power(self.gens[0], rng.randrange(self._cyclic_order))
         out = identity_perm(len(self.gens[0]))
         for lv in self.levels():
             pts = sorted(lv.transversal)
@@ -262,6 +265,8 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(gens)
         self._components = _split_components(gens)
+        moved = frozenset().union(*(comp.support for comp in self._components))
+        self._fixed_points = tuple(i for i in range(degree) if i not in moved)
         self._order: int | None = None
         self._elements: list[Perm] | None = None
         self._abelian: bool | None = None
@@ -279,9 +284,6 @@ class PermGroup:
             self._order = out
         return self._order
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def is_abelian(self) -> bool:
         if self._abelian is None:
             gens = self.generators
@@ -294,10 +296,7 @@ class PermGroup:
         p = tuple(p)
         if len(p) != self.degree:
             return False
-        covered = set()
-        for comp in self._components:
-            covered |= comp.support
-        if any(p[i] != i for i in range(self.degree) if i not in covered):
+        if any(p[i] != i for i in self._fixed_points):
             return False
         for comp in self._components:
             if any(p[i] not in comp.support for i in comp.support):
@@ -312,14 +311,15 @@ class PermGroup:
             out = mult(out, comp.random_element(rng))
         return out
 
-    def elements(self, cap: int = ENUMERATION_CAP) -> list[Perm]:
-        """All elements, lexicographically sorted; error beyond the cap."""
+    def elements(self) -> list[Perm]:
+        """All elements, lexicographically sorted; error beyond ENUMERATION_CAP."""
         # a cached list implies a known order, so this also guards the cache
-        if self._order is not None and self._order > cap:
-            raise GroupTooLargeError(f"group of order {self._order} exceeds cap {cap}")
+        if self._order is not None and self._order > ENUMERATION_CAP:
+            raise GroupTooLargeError(f"group of order {self._order} exceeds cap {ENUMERATION_CAP}")
         if self._elements is None:
             # itemgetter(*g)(x) is mult(g, x) in one C call
-            found = orbit(self.identity, [itemgetter(*g) for g in self.generators], limit=cap)
+            maps = [itemgetter(*g) for g in self.generators]
+            found = orbit(self.identity, maps, limit=ENUMERATION_CAP)
             if len(found) != self.order:
                 raise InvariantError("closure disagrees with the stabilizer chain")
             self._elements = sorted(found)
@@ -348,10 +348,6 @@ class ClassStructure:
     def exponent(self) -> int:
         """Group exponent, the lcm of the representative orders."""
         return lcm(*(perm_order(r) for r in self.reps))
-
-    def members(self, j: int) -> list[Perm]:
-        """Sorted elements of class j."""
-        return sorted(el for el, c in self.class_of.items() if c == j)
 
 
 def _conjugation(g: Perm):

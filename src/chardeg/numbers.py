@@ -76,35 +76,47 @@ def smallest_prime_factor(n: int) -> int | None:
     return None
 
 
-def is_prime_power(n: int) -> bool:
-    """True iff n = r^k for a prime r and k >= 1 (1 is not a prime power)."""
+def _integer_root(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 1 (integer Newton iteration from above)."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _prime_power(n: int) -> tuple[int, int] | None:
+    """(r, k) with n = r^k, r prime and k >= 1, or None if n is no prime power."""
     if n < 2:
-        return False
+        return None
     r = smallest_prime_factor(n)
     if r is None:
-        return is_prime(n)
+        # no prime factor up to the trial bound, so r^k = n needs r above it
+        k = 1
+        while (r := _integer_root(n, k)) > TRIAL_DIVISION_BOUND:
+            if r**k == n and is_prime(r):
+                return r, k
+            k += 1
+        return None
+    k = 0
     while n % r == 0:
         n //= r
-    return n == 1
+        k += 1
+    return (r, k) if n == 1 else None
+
+
+def is_prime_power(n: int) -> bool:
+    """True iff n = r^k for a prime r and k >= 1 (1 is not a prime power)."""
+    return _prime_power(n) is not None
 
 
 def prime_power_decomposition(n: int) -> tuple[int, int]:
     """Write n = r^k with r prime; raise ValueError if n is not a prime power."""
-    if n < 2:
+    found = _prime_power(n)
+    if found is None:
         raise ValueError(f"{n} is not a prime power")
-    r = smallest_prime_factor(n)
-    if r is None:
-        if is_prime(n):
-            return n, 1
-        raise ValueError(f"{n} is not a prime power")
-    k = 0
-    m = n
-    while m % r == 0:
-        m //= r
-        k += 1
-    if m != 1:
-        raise ValueError(f"{n} is not a prime power")
-    return r, k
+    return found
 
 
 def _brent_rho(n: int) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -336,15 +336,16 @@ class VerifyConfig:
             raise ValueError(f"max_order = {self.max_order} is negative")
 
     def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "lie": self.lie,
-            "seed": self.seed,
-            "timings": self.timings,
-            "tabulate_normalizers": self.tabulate_normalizers,
-            "class_cap": CLASS_CAP,
-            "enumeration_cap": ENUMERATION_CAP,
-        }
+        return {**asdict(self), "class_cap": CLASS_CAP, "enumeration_cap": ENUMERATION_CAP}
+
+
+# each verdict's key in the report summary, in the summary's order
+_SUMMARY_KEYS = {
+    "confirmed": "confirmed",
+    "vacuous": "vacuous",
+    "VIOLATION": "violations",
+    "error": "errors",
+}
 
 
 @dataclass
@@ -356,16 +357,9 @@ class VerificationReport:
 
     @property
     def summary(self) -> dict:
-        counts = {"confirmed": 0, "vacuous": 0, "violations": 0, "errors": 0}
+        counts = dict.fromkeys(_SUMMARY_KEYS.values(), 0)
         for c in self.checks:
-            if c.verdict == "confirmed":
-                counts["confirmed"] += 1
-            elif c.verdict == "vacuous":
-                counts["vacuous"] += 1
-            elif c.verdict == "VIOLATION":
-                counts["violations"] += 1
-            else:
-                counts["errors"] += 1
+            counts[_SUMMARY_KEYS[c.verdict]] += 1
         return counts
 
     @property
@@ -394,6 +388,11 @@ class VerificationReport:
         return json.dumps(self.to_dict(), separators=(",", ":")) + "\n"
 
 
+def _error_text(exc: Exception) -> str:
+    """The error text a report row records for an exception."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOutcome], list[dict]]:
     facts = GroupFacts.of(built, config.seed)
     G = facts.G
@@ -414,7 +413,7 @@ def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOu
             try:
                 outcomes.append(check(facts, p))
             except Exception as exc:  # recorded, sweep continues
-                error = f"{type(exc).__name__}: {exc}"
+                error = _error_text(exc)
                 outcomes.append(CheckOutcome(name, facts.group_id, G.order, p, error=error))
         if (
             config.tabulate_normalizers
@@ -442,7 +441,7 @@ def run_catalog(config: VerifyConfig) -> VerificationReport:
         try:
             outcomes, table_rows = _group_checks(build(recipe), config)
         except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
+            error = _error_text(exc)
             outcomes = [CheckOutcome("spectrum", recipe.spec, recipe.order, None, error=error)]
             table_rows = []
         report.checks.extend(outcomes)
@@ -452,7 +451,7 @@ def run_catalog(config: VerifyConfig) -> VerificationReport:
             try:
                 report.checks.append(lie_coverage_outcome(spec))
             except Exception as exc:
-                error = f"{type(exc).__name__}: {exc}"
+                error = _error_text(exc)
                 report.checks.append(CheckOutcome("lie-coverage", spec.tag, 0, None, error=error))
     report.total_seconds = round(time.perf_counter() - started, 3)
     return report

@@ -1,8 +1,11 @@
 """Tests for group recipes: parsing, construction, and the catalog."""
 
+import re
+
 import pytest
 
 from chardeg.constructions import (
+    _KINDS,
     PSL2_SUPPORTED,
     build,
     dihedral_class_count,
@@ -40,11 +43,53 @@ def test_parse_products():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["", "sym", "sym:", "sym:4:5", "nope:3", "sym:x", "cyclic:0",
-                "dihedral:2", "alt:2", "agl1:6", "frob:4:1:3", "frob:3:1:5",
-                "psl2:3", "psl2:6", "extraspecial:7"]:
-        with pytest.raises(ValueError):
+    for bad, message in [
+        ("", "empty group spec"),
+        ("sym", "malformed group spec atom 'sym'"),
+        ("sym:", "malformed group spec atom 'sym:'"),
+        ("sym:4:5", "sym takes 1 parameter(s), got 'sym:4:5'"),
+        ("nope:3", "unknown group kind 'nope'"),
+        ("sym:x", "malformed group spec atom 'sym:x'"),
+        ("cyclic:0", "cyclic order must be positive"),
+        ("sym:0", "symmetric index must be positive"),
+        ("dihedral:2", "dihedral index must be at least 3"),
+        ("alt:2", "alternating index must be at least 3"),
+        ("agl1:6", "agl1 requires a prime power, got 6"),
+        ("frob:4:1:3", "frob base 4 is not prime"),
+        ("frob:3:1:5", "frob order 5 must divide 3^1 - 1"),
+        ("psl2:3", "psl2 requires a prime power q >= 4"),
+        ("psl2:6", "psl2 requires a prime power q >= 4"),
+        ("extraspecial:7", "extraspecial recipe supports p in {3, 5}"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             parse_group_spec(bad)
+
+
+# the least parameters each kind accepts, with the order they declare
+SMALLEST = {
+    "cyclic": ("cyclic:1", 1),
+    "dihedral": ("dihedral:3", 6),
+    "sym": ("sym:1", 1),
+    "alt": ("alt:3", 3),
+    "agl1": ("agl1:2", 2),
+    "frob": ("frob:2:1:1", 2),
+    "psl2": ("psl2:4", 60),
+    "extraspecial": ("extraspecial:3", 27),
+}
+
+
+def test_smallest_recipes_cover_every_kind():
+    assert SMALLEST.keys() == _KINDS.keys()
+
+
+@pytest.mark.parametrize("kind", sorted(SMALLEST))
+def test_smallest_recipe_of_each_kind_builds(kind):
+    spec, order = SMALLEST[kind]
+    recipe = parse_group_spec(spec)
+    assert recipe.kind == kind and recipe.order == order
+    built = build(recipe)
+    assert built.group.order == order
+    assert (built.split is not None) == (kind in ("agl1", "frob"))
 
 
 def test_built_orders_match_declared():
@@ -120,6 +165,10 @@ def test_psl2_orders_and_support():
     with pytest.raises(ValueError):
         psl2(6)
     assert 29 not in PSL2_SUPPORTED
+    # outside the supported set: the recipe parses, the build refuses it
+    assert parse_group_spec("psl2:29").order == 12180
+    with pytest.raises(ValueError, match="outside the supported set"):
+        build(parse_group_spec("psl2:29"))
 
 
 def test_psl2_simplicity_witness():

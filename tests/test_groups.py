@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chardeg import groups
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.perms import (
     conjugate,
@@ -53,7 +54,7 @@ def test_trivial_group_requires_degree():
     with pytest.raises(ValueError):
         PermGroup([])
     T = PermGroup([], degree=3)
-    assert T.order == 1 and T.is_trivial() and T.is_abelian()
+    assert T.order == 1 and not T.generators and T.is_abelian()
     assert T.elements() == [identity_perm(3)]
 
 
@@ -106,23 +107,29 @@ def test_elements_cross_validates_order():
         assert els == sorted(set(els))
 
 
-def test_enumeration_cap():
+def test_enumeration_cap(monkeypatch):
+    # the cap is read when elements() runs, so setting it applies at once
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", 1000)
     G = group_of("sym:8")
     with pytest.raises(GroupTooLargeError):
-        G.elements(cap=1000)
+        G.elements()
     # a group made from generators alone has no order yet, so the orbit's
     # own cap decides, exactly at the boundary
-    assert len(PermGroup(sym_gens(5)).elements(cap=120)) == 120
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", 120)
+    assert len(PermGroup(sym_gens(5)).elements()) == 120
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", 119)
     with pytest.raises(GroupTooLargeError, match="orbit exceeds cap 119"):
-        PermGroup(sym_gens(5)).elements(cap=119)
+        PermGroup(sym_gens(5)).elements()
     G = group_of("sym:5")
     assert G.order == 120  # known order: refused before enumerating
     with pytest.raises(GroupTooLargeError, match="order 120 exceeds cap 119"):
-        G.elements(cap=119)
-    assert len(G.elements(cap=G.order)) == G.order
+        G.elements()
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", G.order)
+    assert len(G.elements()) == G.order
     # once the list is cached, a smaller cap is still refused
+    monkeypatch.setattr(groups, "ENUMERATION_CAP", 5)
     with pytest.raises(GroupTooLargeError, match="order 120 exceeds cap 5"):
-        G.elements(cap=5)
+        G.elements()
 
 
 def test_orbit_discovery_order_and_limit():
@@ -168,7 +175,7 @@ def test_class_zero_is_identity_and_reps_canonical():
         assert cs.reps[0] == G.identity
         assert cs.sizes[0] == 1
         for j, r in enumerate(cs.reps):
-            assert r == min(cs.members(j))
+            assert r == min(el for el, c in cs.class_of.items() if c == j)
             assert cs.class_of[inverse(r)] == cs.inverse_class[j]
             assert cs.sizes[cs.inverse_class[j]] == cs.sizes[j]
         assert sum(cs.sizes) == G.order

@@ -61,6 +61,19 @@ def test_prime_power_decomposition():
         prime_power_decomposition(1)
 
 
+def test_prime_powers_of_primes_beyond_trial_division():
+    # 1000003 and 1000033 are primes above the trial-division bound, so no
+    # factor of these numbers is found by trial division
+    p, q = 1000003, 1000033
+    for k in (1, 2, 3):
+        assert is_prime_power(p**k)
+        assert prime_power_decomposition(p**k) == (p, k)
+    assert not is_prime_power(p * q)
+    assert not is_prime_power(p**2 * q)
+    with pytest.raises(ValueError, match=f"{p * q} is not a prime power"):
+        prime_power_decomposition(p * q)
+
+
 def test_factorize_examples():
     assert factorize(168) == [2, 2, 2, 3, 7]
     assert factorize(1) == []

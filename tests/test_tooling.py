@@ -3,12 +3,13 @@
 import ast
 import hashlib
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from chardeg.constructions import spectrum_of
+from chardeg.constructions import _KINDS, PSL2_SUPPORTED, spectrum_of
 from chardeg.dixon import degree_spectrum, dixon_degrees
 from chardeg.groups import conjugacy_classes
 from chardeg.numbers import prime_divisors
@@ -54,6 +55,18 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_readme_recipe_table_lists_every_kind():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Group recipes", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    recipes = [code for row in rows for code in re.findall(r"`([^`]+)`", row.split("|")[1])]
+    atoms = [code for code in recipes if not re.search(r"\dx[a-z]", code)]  # not products
+    assert sorted({code.split(":")[0] for code in atoms}) == sorted(_KINDS)
+    (psl2_row,) = [row for row in rows if row.startswith("| `psl2:")]
+    (listed,) = re.findall(r"\{([0-9, ]+)\}", psl2_row)
+    assert {int(q) for q in listed.split(",")} == PSL2_SUPPORTED
 
 
 def benchmark_reference(workload: str):
