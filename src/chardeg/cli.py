@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 
 from ._version import __version__
 from .acd import a_p, b_p, ell, format_rational, make_acd_report
@@ -38,16 +39,8 @@ _LIBRARY_ERRORS = (
 
 
 def _spectrum_text(degrees) -> str:
-    runs = []
-    seen = []
-    for d in degrees:
-        if seen and seen[-1][0] == d:
-            seen[-1][1] += 1
-        else:
-            seen.append([d, 1])
-    for d, k in seen:
-        runs.append(f"{d}^{k}" if k > 1 else str(d))
-    return " ".join(runs)
+    runs = [(d, len(list(group))) for d, group in groupby(degrees)]
+    return " ".join(f"{d}^{k}" if k > 1 else str(d) for d, k in runs)
 
 
 def _cmd_table(args) -> int:

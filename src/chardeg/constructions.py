@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, isqrt, prod
 
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
 from .fields import finite_field
@@ -382,8 +382,13 @@ def iter_catalog(max_order: int):
             specs.append(f"dihedral:{n}")
     specs.extend(f"sym:{n}" for n in range(3, 8))
     specs.extend(f"alt:{n}" for n in range(4, 9))
-    specs.extend(f"agl1:{q}" for q in range(3, MAX_POINTS) if is_prime_power(q))
-    for q in range(3, FROBENIUS_FIELD_CAP + 1):
+    # agl1:q has order q(q - 1) <= max_order iff 2q - 1 <= isqrt(4 max_order + 1);
+    # frob:r:m:d has order r^m d >= 2 r^m
+    agl1_top = (isqrt(4 * max(max_order, 0) + 1) + 1) // 2
+    specs.extend(
+        f"agl1:{q}" for q in range(3, min(agl1_top + 1, MAX_POINTS)) if is_prime_power(q)
+    )
+    for q in range(3, min(FROBENIUS_FIELD_CAP, max_order // 2) + 1):
         if not is_prime_power(q):
             continue
         r, m = prime_power_decomposition(q)

@@ -115,8 +115,7 @@ def _rref(M: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _nullspace(M: np.ndarray, ell: int) -> np.ndarray:
-    """Rows spanning the kernel of M (acting on row vectors v: v M^T = 0 is
-    not meant here; this is the usual kernel  {x : M x = 0}  as row vectors)."""
+    """Rows spanning the kernel {x : M x = 0} of M over F_l."""
     R, pivots = _rref(M, ell)
     n = M.shape[1]
     free = np.delete(np.arange(n), pivots)

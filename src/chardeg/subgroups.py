@@ -18,7 +18,6 @@ from .perms import (
     Perm,
     commutator,
     conjugate,
-    is_identity,
     mult,
     perm_order,
     perm_power,
@@ -41,33 +40,27 @@ def subgroup(parent: PermGroup, gens) -> SubgroupHandle:
 
 
 def normal_closure(G: PermGroup, gens) -> PermGroup:
-    """Smallest normal subgroup of G containing the given elements."""
-    seed = [tuple(g) for g in gens if not is_identity(tuple(g))]
-    K = PermGroup(seed, degree=G.degree)
-    while True:
-        extra = None
-        for k in K.generators:
-            for g in G.generators:
-                c = conjugate(k, g)
-                if not K.contains(c):
-                    extra = c
-                    break
-            if extra is not None:
-                break
-        if extra is None:
-            return K
-        K = PermGroup(list(K.generators) + [extra], degree=G.degree)
+    """Smallest normal subgroup of G containing the given elements.
+
+    Every generator of the closure K is conjugated by each generator of G
+    once, from a list that grows while it is walked: a conjugate that lay in
+    an earlier K still lies in every larger one.
+    """
+    K = PermGroup(gens, degree=G.degree)
+    todo = list(K.generators)
+    for k in todo:
+        for g in G.generators:
+            c = conjugate(k, g)
+            if not K.contains(c):
+                K = PermGroup(K.generators + (c,), degree=G.degree)
+                todo.append(c)
+    return K
 
 
 def derived_subgroup(G: PermGroup) -> SubgroupHandle:
     """Commutator subgroup [G, G]."""
     gens = G.generators
-    comms = []
-    for i, a in enumerate(gens):
-        for b in gens[i + 1 :]:
-            c = commutator(a, b)
-            if not is_identity(c) and c not in comms:
-                comms.append(c)
+    comms = [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
     return SubgroupHandle(normal_closure(G, comms), G)
 
 
@@ -98,67 +91,49 @@ def _p_parts(n: int, p: int) -> tuple[int, int]:
 def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
     """A Sylow p-subgroup of G.
 
-    Abelian groups take p'-th powers of the generators.  Otherwise p-elements
-    are adjoined greedily, first from seeded random sampling and then, if
-    needed, from the sorted element list, keeping the closure a p-group.
+    Abelian groups take p'-th powers of the generators.  Otherwise the
+    p-parts of candidate elements are adjoined greedily, keeping the closure
+    a p-group; the candidates are seeded random samples and then, if needed,
+    the sorted element list.
     """
     pp, _ = _p_parts(G.order, p)
     if pp == 1:
         return SubgroupHandle(PermGroup([], degree=G.degree), G)
     if pp == G.order:
         return SubgroupHandle(G, G)
+
+    def p_part(g: Perm) -> Perm:
+        return perm_power(g, _p_parts(perm_order(g), p)[1])
+
     if G.is_abelian():
-        gens = []
-        for g in G.generators:
-            _, co = _p_parts(perm_order(g), p)
-            h = perm_power(g, co)
-            if not is_identity(h):
-                gens.append(h)
-        H = PermGroup(gens, degree=G.degree)
+        H = PermGroup([p_part(g) for g in G.generators], degree=G.degree)
         if H.order != pp:
             raise InvariantError(f"abelian Sylow {p}-subgroup has order {H.order}, not {pp}")
         return SubgroupHandle(H, G)
 
-    def p_element_from(g: Perm) -> Perm | None:
-        _, co = _p_parts(perm_order(g), p)
-        h = perm_power(g, co)
-        return None if is_identity(h) else h
+    def candidates():
+        rng = random.Random(seed)
+        for _ in range(_SYLOW_RANDOM_TRIES):
+            yield G.random_element(rng)
+        yield from G.elements()  # lazy: G is enumerated only if sampling falls short
 
-    rng = random.Random(seed)
     gens: list[Perm] = []
     closure: set[Perm] = {G.identity}
-
-    def try_adjoin(x: Perm) -> bool:
-        nonlocal gens, closure
+    for g in candidates():
+        x = p_part(g)
         if x in closure:
-            return False
+            continue
         grown: set[Perm] = set()
         try:
-            orbit(G.identity, [itemgetter(*g) for g in gens + [x]], grown, limit=pp)
+            orbit(G.identity, [itemgetter(*h) for h in gens + [x]], grown, limit=pp)
         except GroupTooLargeError:  # larger than the p-part: not a p-group
-            return False
-        if pp % len(grown) != 0:
-            return False
-        gens = gens + [x]
-        closure = grown
-        return True
-
-    for _ in range(_SYLOW_RANDOM_TRIES):
-        if len(closure) == pp:
-            break
-        x = p_element_from(G.random_element(rng))
-        if x is not None:
-            try_adjoin(x)
-    if len(closure) < pp:
-        for g in G.elements():
+            continue
+        if pp % len(grown) == 0:
+            gens.append(x)
+            closure = grown
             if len(closure) == pp:
-                break
-            x = p_element_from(g)
-            if x is not None:
-                try_adjoin(x)
-    if len(closure) != pp:
-        raise InvariantError("Sylow search failed to reach the full p-part")
-    return SubgroupHandle(PermGroup(gens, degree=G.degree), G)
+                return SubgroupHandle(PermGroup(gens, degree=G.degree), G)
+    raise InvariantError("Sylow search failed to reach the full p-part")
 
 
 def is_normal(G: PermGroup, H: SubgroupHandle) -> bool:
@@ -185,9 +160,11 @@ def p_residual(
 def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     """G/N as a permutation group on the left cosets of N.
 
-    Coset keys are the lexicographically least member; the quotient by the
-    trivial subgroup is G itself, and the quotient by G is the one-point
-    trivial group.
+    The cosets xN are the orbits of G's elements under x -> x*n for the
+    generators n of N.  G's sorted elements are walked in order, so each
+    coset is numbered by its least member.  This enumerates G, so it needs
+    |G| within ENUMERATION_CAP.  The quotient by the trivial subgroup is G
+    itself, and the quotient by G is the one-point trivial group.
     """
     NG = N.group
     if NG.order == 1:
@@ -199,18 +176,16 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     index = G.order // NG.order
     if index > MAX_POINTS:
         raise ValueError(f"coset space of size {index} exceeds the {MAX_POINTS}-point cap")
-    n_elems = NG.elements()
-
-    def canon(x: Perm) -> Perm:
-        return min(mult(x, n) for n in n_elems)
-
-    maps = [lambda c, a=a: canon(mult(a, c)) for a in G.generators]
-    cosets = orbit(canon(G.identity), maps)
-    if len(cosets) != index:
-        raise InvariantError(f"{len(cosets)} cosets found for index {index}")
-    cosets.sort()
-    pos = {c: i for i, c in enumerate(cosets)}
-    gens = [tuple(pos[canon(mult(a, c))] for c in cosets) for a in G.generators]
+    by_n = [lambda x, n=n: mult(x, n) for n in NG.generators]
+    coset_of: dict[Perm, int] = {}
+    reps: list[Perm] = []
+    for x in G.elements():
+        if x not in coset_of:
+            coset_of.update(dict.fromkeys(orbit(x, by_n), len(reps)))
+            reps.append(x)
+    if len(reps) != index:
+        raise InvariantError(f"{len(reps)} cosets found for index {index}")
+    gens = [tuple(coset_of[mult(a, r)] for r in reps) for a in G.generators]
     Q = PermGroup(gens, degree=index)
     if Q.order != index:
         raise InvariantError(f"quotient has order {Q.order}, not {index}")

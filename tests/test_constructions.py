@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from chardeg import constructions
 from chardeg.constructions import (
     _KINDS,
     PSL2_SUPPORTED,
@@ -223,6 +224,27 @@ def test_catalog_contents():
     for must in ["psl2:5", "alt:5", "sym:5", "agl1:11", "extraspecial:3",
                  "dihedral:50", "agl1:13", "frob:11:1:5"]:
         assert must in specs200, must
+
+
+@pytest.mark.parametrize("max_order", [0, 60, 150])
+def test_catalog_parses_no_agl1_or_frob_spec_beyond_the_bound(max_order, monkeypatch):
+    parsed = []
+
+    def counting_parse(spec):
+        parsed.append(spec)
+        return parse_group_spec(spec)
+
+    monkeypatch.setattr(constructions, "parse_group_spec", counting_parse)
+    kept = list(iter_catalog(max_order))
+    assert len(parsed) >= len(kept)
+    for spec in parsed:
+        kind, *params = spec.split(":")
+        if kind == "agl1":
+            q = int(params[0])
+            assert q * (q - 1) <= max_order, spec
+        elif kind == "frob":
+            r, m, _ = map(int, params)
+            assert 2 * r**m <= max_order, spec
 
 
 def test_catalog_sorted_and_buildable():

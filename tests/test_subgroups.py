@@ -1,11 +1,14 @@
 """Tests for subgroup operations: derived series, Sylow subgroups, quotients."""
 
+from operator import itemgetter
+
 import pytest
 
 from chardeg import subgroups
-from chardeg.groups import GroupTooLargeError, conjugacy_classes, orbit
+from chardeg.constructions import iter_catalog
+from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
-from chardeg.perms import conjugate
+from chardeg.perms import conjugate, mult
 from chardeg.subgroups import (
     derived_series,
     derived_subgroup,
@@ -102,6 +105,30 @@ def test_sylow_rejects_oversized_closures_and_still_reaches_full_order(spec, mon
     assert refused  # some adjoined element generated more than the p-part
 
 
+@pytest.mark.parametrize("spec", ["sym:5", "psl2:7", "agl1:8"])
+def test_sylow_samples_without_enumerating_the_group(spec, monkeypatch):
+    G = group_of(spec)  # a fresh group: nothing enumerated yet
+    calls = []
+    enumerate_elements = PermGroup.elements
+
+    def counting_elements(self):
+        calls.append(self)
+        return enumerate_elements(self)
+
+    monkeypatch.setattr(PermGroup, "elements", counting_elements)
+    for p in prime_divisors(G.order):
+        assert sylow(G, p).group.order == p ** factorize(G.order).count(p)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "psl2:7"])
+def test_sylow_sorted_scan_alone_reaches_the_full_p_part(spec, monkeypatch):
+    monkeypatch.setattr(subgroups, "_SYLOW_RANDOM_TRIES", 0)
+    G = group_of(spec)
+    for p in prime_divisors(G.order):
+        assert sylow(G, p).group.order == p ** factorize(G.order).count(p)
+
+
 def test_is_normal():
     A4 = group_of("frob:2:2:3")
     V = derived_subgroup(A4)
@@ -162,6 +189,34 @@ def test_quotient_group():
     assert quotient_group(S4, W).order == 1
 
 
+def reference_quotient(G, N):
+    """G/N on the cosets keyed by min over x*N, numbered in sorted key order."""
+    n_elems = N.elements()
+
+    def key(x):
+        return min(mult(x, n) for n in n_elems)
+
+    cosets = sorted({key(x) for x in G.elements()})
+    pos = {c: i for i, c in enumerate(cosets)}
+    gens = [[pos[key(mult(a, c))] for c in cosets] for a in G.generators]
+    return PermGroup(gens, degree=len(cosets))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sym:4", "dihedral:12", "frob:7:1:6", "agl1:9", "sym:3xcyclic:4", "psl2:7xcyclic:3"],
+)
+def test_quotient_generators_match_the_least_member_reference(spec):
+    G = group_of(spec)
+    N = derived_subgroup(G)
+    if spec == "sym:4":  # the Klein four group V_4 = A_4'
+        N = subgroup(G, derived_subgroup(N.group).group.generators)
+    assert 1 < N.group.order < G.order
+    Q = quotient_group(G, N)
+    assert Q.degree == G.order // N.group.order
+    assert Q.generators == reference_quotient(G, N.group).generators
+
+
 def test_quotient_class_count_not_above_parent():
     G = group_of("sym:4")
     N = derived_subgroup(G)
@@ -181,6 +236,18 @@ def test_normal_closure():
     for x in K.elements():
         for g in S4.generators:
             assert K.contains(conjugate(x, g))
+
+
+def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
+    groups = {r.spec: group_of(r.spec) for r in iter_catalog(60)}
+    nonabelian = {spec: G for spec, G in groups.items() if not G.is_abelian()}
+    assert len(nonabelian) > 10
+    for spec, G in nonabelian.items():
+        classes = conjugacy_classes(G)
+        for j, r in enumerate(classes.reps):
+            members = [x for x, c in classes.class_of.items() if c == j]
+            brute = orbit(G.identity, [itemgetter(*x) for x in members])
+            assert normal_closure(G, [r]).order == len(brute), (spec, r)
 
 
 def test_normalizer():

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import re
 from collections import Counter
@@ -114,3 +115,23 @@ def test_structure_facts_match_the_benchmark_reference():
             Q = quotient_group(G, derived)
             facts["quotient_degrees"] = multiset(degree_spectrum(Q).degrees)
         assert facts == expected, spec
+
+
+def test_every_traced_span_target_resolves_in_the_package():
+    # perfbench/spans.py wraps these names from outside; a renamed function
+    # would only surface as a crash in the benchmark run
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    (targets,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)
+    ]
+    assert targets
+    for module, attr in targets:
+        owner = importlib.import_module(module)
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        target = vars(owner).get(name)
+        assert callable(target), f"{module}.{attr} does not resolve"
