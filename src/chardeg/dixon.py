@@ -32,7 +32,9 @@ so they also hold under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import isqrt
+from operator import itemgetter
 
 import numpy as np
 
@@ -225,35 +227,59 @@ def _split(
     return spaces
 
 
+def _row_keys(images: np.ndarray) -> np.ndarray:
+    """Each row along the last axis of an int32 array as one fixed-width
+    void item, so that whole rows sort, compare and search as single values.
+
+    Void rows have no width limit, unlike images packed into one integer.
+    """
+    width = 4 * images.shape[-1]
+    if not width:  # a view cannot make zero-width items
+        return np.zeros(images.shape[:-1], dtype="V0")
+    return np.ascontiguousarray(images).view(f"V{width}").reshape(images.shape[:-1])
+
+
 class _ClassMatrixBuilder:
     """Vectorized structure-constant matrices in the transposed arrangement
     used by the eigen splitter: A_i[j, k] counts x in class i with
-    x^{-1} z_k in class j, so that A_i w = w_i w for central characters w."""
+    x^{-1} z_k in class j, so that A_i w = w_i w for central characters w.
+
+    An element is named by its images of a base of G (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 4.4): the images of x z are
+    z[x[b]] over the base points b, so one gather gives the names of all
+    products x z, and one search in the sorted names of G their classes.
+    """
 
     def __init__(self, cs: ClassStructure):
         self.cs = cs
-        elements = cs.group.elements()
-        rows = np.array(elements, dtype=np.int32)
-        self.class_key = {
-            rows[idx].tobytes(): cs.class_of[el] for idx, el in enumerate(elements)
-        }
-        k = len(cs.reps)
-        members: list[list[int]] = [[] for _ in range(k)]
-        for idx, el in enumerate(elements):
-            members[cs.class_of[el]].append(idx)
-        self.member_rows = [rows[m] for m in members]
-        self.rep_arrays = [np.array(r, dtype=np.int32) for r in cs.reps]
+        base = cs.group.base()
+        n, m = len(cs.class_of), len(base)
+        # itemgetter returns a bare item for one index and raises for none
+        get = itemgetter(*base) if m > 1 else lambda el: tuple(el[b] for b in base)
+        # class_of holds every element once, and its keys and values come in
+        # the same order, so elements meet their classes without a lookup
+        flat = chain.from_iterable(map(get, cs.class_of))
+        images = np.fromiter(flat, dtype=np.int32, count=n * m).reshape(n, m)
+        keys = _row_keys(images)
+        order = np.argsort(keys, kind="stable")
+        self.keys = keys[order]
+        if np.any(self.keys[1:] == self.keys[:-1]):
+            raise InvariantError("two elements share their base images")
+        classes = np.fromiter(cs.class_of.values(), dtype=np.intp, count=n)
+        self.key_class = classes[order]
+        by_class = np.argsort(classes, kind="stable")
+        self.member_images = np.split(images[by_class], np.cumsum(cs.sizes)[:-1])
+        self.reps = np.array(cs.reps, dtype=np.int32)
 
     def matrix(self, i: int) -> np.ndarray:
-        cs = self.cs
-        k = len(cs.reps)
-        X = self.member_rows[cs.inverse_class[i]]
-        A = np.zeros((k, k), dtype=np.int64)
-        for kk in range(k):
-            Y = self.rep_arrays[kk][X]
-            js = [self.class_key[row.tobytes()] for row in Y]
-            A[:, kk] = np.bincount(js, minlength=k)
-        return A
+        k = len(self.cs.reps)
+        X = self.member_images[self.cs.inverse_class[i]]
+        products = _row_keys(self.reps[:, X]).ravel()
+        pos = np.minimum(np.searchsorted(self.keys, products), len(self.keys) - 1)
+        if not np.array_equal(self.keys[pos], products):
+            raise InvariantError("a product is not an element of the group")
+        column = np.repeat(np.arange(k), len(X))
+        return np.bincount(self.key_class[pos] * k + column, minlength=k * k).reshape(k, k)
 
 
 def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, list[int]]]:
@@ -261,7 +287,7 @@ def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, 
     echelon form, found by intersecting eigenspaces class by class."""
     k = len(cs.reps)
     builder = _ClassMatrixBuilder(cs)
-    spaces: list[tuple[np.ndarray, list[int]]] = [_rref(np.eye(k, dtype=np.int64), ell)]
+    spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
     class_order = sorted(range(1, k), key=lambda i: (cs.sizes[i], i))
     for i in class_order:
         open_blocks = [(B, pivots) for B, pivots in spaces if B.shape[0] > 1]
@@ -302,17 +328,17 @@ def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
         return DegreeSpectrum((1,), 1)
     ell = choose_modulus(order, cs.exponent(), min_value=k)
     spaces = _common_eigenspaces(cs, ell)
-    inv_sizes = [pow(h, -1, ell) for h in cs.sizes]
+    V = np.array([B[0] for B, _ in spaces], dtype=np.int64)
+    if not V[:, 0].all():
+        raise InvariantError("central character vanishes on the identity class")
+    # normalised central characters, one row per space
+    omega = V * np.array([pow(int(v), -1, ell) for v in V[:, 0]], dtype=np.int64)[:, None] % ell
+    inv_sizes = np.array([pow(h, -1, ell) for h in cs.sizes], dtype=np.int64)
+    # reduce before summing, so every term stays below l and the sum below k l^2
+    sums = (omega * omega[:, list(cs.inverse_class)] % ell) @ inv_sizes % ell
     degrees = []
     bound = isqrt(order)
-    for B, _ in spaces:
-        v = B[0]
-        if v[0] == 0:
-            raise InvariantError("central character vanishes on the identity class")
-        omega = v * pow(int(v[0]), -1, ell) % ell
-        s = 0
-        for j in range(k):
-            s = (s + int(omega[j]) * int(omega[cs.inverse_class[j]]) * inv_sizes[j]) % ell
+    for s in sums.tolist():
         d2 = order * pow(s, -1, ell) % ell
         d = sqrt_mod(d2, ell)
         d = min(d, ell - d)

@@ -19,6 +19,7 @@ from .numbers import InvariantError
 from .perms import (
     Perm,
     check_bijection,
+    cycles,
     identity_perm,
     inverse,
     is_identity,
@@ -304,6 +305,22 @@ class PermGroup:
             if not comp.contains(p):
                 return False
         return True
+
+    def base(self) -> tuple[int, ...]:
+        """Points whose images determine every element of G.
+
+        Components move disjoint points, so their bases concatenate: a
+        stabilizer chain's base points, or for a cyclic component <g> one
+        point of every nontrivial cycle of g (a power of g that fixes a
+        point of a cycle fixes that whole cycle).
+        """
+        points: list[int] = []
+        for comp in self._components:
+            if comp.is_cyclic_shortcut:
+                points.extend(c[0] for c in cycles(comp.gens[0]) if len(c) > 1)
+            else:
+                points.extend(lv.point for lv in comp.levels())
+        return tuple(points)
 
     def random_element(self, rng: random.Random) -> Perm:
         out = self.identity

@@ -73,11 +73,11 @@ def oracle_classes(elements, generators):
     return classes
 
 
-def oracle_degrees(generators, degree: int, seed: int = 12345) -> tuple[int, ...]:
-    """Sorted degree multiset via complex eigendecomposition."""
+def oracle_class_matrices(generators, degree: int):
+    """Classes (ordered as by oracle_classes) and the structure constants
+    mats[i][j][k] = #{(x, y) in C_i x C_j : x y = reps[k]}, counted directly."""
     generators = [tuple(g) for g in generators]
     elements = oracle_elements(generators, degree)
-    n = len(elements)
     classes = oracle_classes(elements, generators)
     k = len(classes)
     class_of = {}
@@ -85,17 +85,23 @@ def oracle_degrees(generators, degree: int, seed: int = 12345) -> tuple[int, ...
         for x in cls:
             class_of[x] = j
     reps = [cls[0] for cls in classes]
-    sizes = np.array([len(cls) for cls in classes], dtype=float)
-    identity_class = class_of[tuple(range(degree))]
-    assert identity_class == 0 and sizes[0] == 1
+    assert class_of[tuple(range(degree))] == 0 and len(classes[0]) == 1
 
-    # A_i[j][k] = #{(x, y) in C_i x C_j : x y = reps[k]}
     mats = np.zeros((k, k, k))
     for i, cls in enumerate(classes):
         for x in cls:
             xinv = _inverse(x)
             for kk, z in enumerate(reps):
                 mats[i][class_of[_mult(xinv, z)]][kk] += 1
+    return classes, mats
+
+
+def oracle_degrees(generators, degree: int, seed: int = 12345) -> tuple[int, ...]:
+    """Sorted degree multiset via complex eigendecomposition."""
+    classes, mats = oracle_class_matrices(generators, degree)
+    n = sum(len(cls) for cls in classes)
+    k = len(classes)
+    sizes = np.array([len(cls) for cls in classes], dtype=float)
 
     rng = np.random.default_rng(seed)
     for _attempt in range(8):

@@ -216,7 +216,19 @@ def test_catalog_contents():
     assert "sym:4" in specs30
     assert "frob:7:1:3" in specs30
     assert "cyclic:2xcyclic:2" in specs30
-    assert "sym:3xcyclic:2" not in specs30 or True  # pool membership may vary
+    # the product pool up to order 30, apart from the abelian pairs
+    products30 = {s for s in specs30 if parse_group_spec(s).kind == "product"}
+    assert {s for s in products30 if not s.startswith("cyclic:")} == {
+        "alt:4xcyclic:2",
+        "dihedral:4xcyclic:2",
+        "dihedral:4xcyclic:3",
+        "dihedral:5xcyclic:2",
+        "dihedral:5xcyclic:3",
+        "sym:3xcyclic:2",
+        "sym:3xcyclic:3",
+        "sym:3xcyclic:4",
+        "sym:3xcyclic:5",
+    }
     assert all(parse_group_spec(s).order <= 30 for s in specs30)
 
     specs200 = [r.spec for r in iter_catalog(200)]

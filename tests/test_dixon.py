@@ -32,8 +32,8 @@ from chardeg.constructions import spectrum_of
 from chardeg.groups import PermGroup, conjugacy_classes
 from chardeg.numbers import InvariantError, is_prime
 
-from oracle import oracle_degrees
-from support import built_of, group_of
+from oracle import oracle_class_matrices, oracle_degrees
+from support import built_of, group_of, two_cycle_product
 
 
 def spectrum(spec: str) -> tuple[int, ...]:
@@ -78,6 +78,38 @@ def test_class_matrix_row_zero_inverse_class():
         for k, entry in enumerate(A[:, 0]):
             expected = cs.sizes[i] if k == cs.inverse_class[i] else 0
             assert entry == expected
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "psl2:7", "frob:7:1:3", "agl1:8", None])
+def test_class_matrices_match_oracle_structure_constants(spec):
+    G = group_of(spec) if spec else two_cycle_product()
+    cs = conjugacy_classes(G)
+    classes, mats = oracle_class_matrices(G.generators, G.degree)
+    # classes correspond through their least members, the library's reps
+    ours = [cs.reps.index(cls[0]) for cls in classes]
+    assert sorted(ours) == list(range(len(cs.reps)))
+    builder = _ClassMatrixBuilder(cs)
+    for oi, i in enumerate(ours):
+        A = builder.matrix(i)
+        assert np.array_equal(A[np.ix_(ours, ours)], mats[oi]), (spec, i)
+
+
+def test_missing_product_is_an_invariant_error():
+    cs = conjugacy_classes(group_of("sym:4"))
+    builder = _ClassMatrixBuilder(cs)
+    # drop the key of one element of class j: products x * 1 with x in
+    # class j, counted by the matrix of the inverse class of j, miss it
+    j = 2
+    row = int(np.flatnonzero(builder.key_class == j)[0])
+    builder.keys = np.delete(builder.keys, row)
+    builder.key_class = np.delete(builder.key_class, row)
+    with pytest.raises(InvariantError, match="not an element of the group"):
+        builder.matrix(cs.inverse_class[j])
+
+
+def test_trivial_group_class_matrix():
+    builder = _ClassMatrixBuilder(conjugacy_classes(PermGroup([], degree=3)))
+    assert builder.matrix(0).tolist() == [[1]]
 
 
 def test_small_spectra():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chardeg import groups
+from chardeg.constructions import build, iter_catalog
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.perms import (
     conjugate,
@@ -18,7 +19,7 @@ from chardeg.perms import (
 )
 
 from oracle import oracle_classes, oracle_elements
-from support import group_of
+from support import group_of, two_cycle_product
 
 
 def sym_gens(n):
@@ -210,3 +211,32 @@ def test_closure_membership_property(gens):
         assert G.contains(inverse(x))
     assert G.order % perm_order(G.random_element(rng)) == 0
     assert len(G.elements()) == G.order
+
+
+def separated_by_base(G: PermGroup) -> bool:
+    base = G.base()
+    return len({tuple(x[b] for b in base) for x in G.elements()}) == G.order
+
+
+def test_base_concatenates_component_bases():
+    G = two_cycle_product()
+    assert G.order == 36
+    assert G.base() == (0, 1, 3, 5)
+    assert separated_by_base(G)
+    assert PermGroup([], degree=3).base() == ()
+
+
+def test_base_images_separate_catalog_groups():
+    groups_seen = 0
+    for recipe in iter_catalog(60):
+        G = build(recipe).group
+        if not G.is_abelian():
+            groups_seen += 1
+            assert separated_by_base(G), recipe.spec
+    assert groups_seen > 20
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(st.lists(st.permutations(range(5)).map(tuple), min_size=1, max_size=3))
+def test_base_images_separate_subgroups_of_sym5(gens):
+    assert separated_by_base(PermGroup(gens, degree=5))
