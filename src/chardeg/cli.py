@@ -115,7 +115,8 @@ def _cmd_verify(args) -> int:
     print(
         f"checks: {len(report.checks)}  confirmed: {summary['confirmed']}  "
         f"vacuous: {summary['vacuous']}  violations: {summary['violations']}  "
-        f"errors: {summary['errors']}"
+        f"errors: {summary['errors']}  "
+        f"informative: {sum(c.informative for c in report.checks)}"
     )
     if args.timings and report.total_seconds is not None:
         print(f"elapsed: {report.total_seconds}s")

@@ -32,9 +32,7 @@ so they also hold under python -O.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from math import isqrt
-from operator import itemgetter
 
 import numpy as np
 
@@ -227,59 +225,29 @@ def _split(
     return spaces
 
 
-def _row_keys(images: np.ndarray) -> np.ndarray:
-    """Each row along the last axis of an int32 array as one fixed-width
-    void item, so that whole rows sort, compare and search as single values.
-
-    Void rows have no width limit, unlike images packed into one integer.
-    """
-    width = 4 * images.shape[-1]
-    if not width:  # a view cannot make zero-width items
-        return np.zeros(images.shape[:-1], dtype="V0")
-    return np.ascontiguousarray(images).view(f"V{width}").reshape(images.shape[:-1])
-
-
 class _ClassMatrixBuilder:
     """Vectorized structure-constant matrices in the transposed arrangement
     used by the eigen splitter: A_i[j, k] counts x in class i with
     x^{-1} z_k in class j, so that A_i w = w_i w for central characters w.
 
-    An element is named by its images of a base of G (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 4.4): the images of x z are
-    z[x[b]] over the base points b, so one gather gives the names of all
-    products x z, and one search in the sorted names of G their classes.
+    Elements are named by their base images in the class structure's key
+    table: the images of x z are z[x[b]] over the base points b, so one
+    gather gives the names of all products x z, and one search in the
+    table their elements and so their classes.
     """
 
     def __init__(self, cs: ClassStructure):
         self.cs = cs
-        base = cs.group.base()
-        n, m = len(cs.class_of), len(base)
-        # itemgetter returns a bare item for one index and raises for none
-        get = itemgetter(*base) if m > 1 else lambda el: tuple(el[b] for b in base)
-        # class_of holds every element once, and its keys and values come in
-        # the same order, so elements meet their classes without a lookup
-        flat = chain.from_iterable(map(get, cs.class_of))
-        images = np.fromiter(flat, dtype=np.int32, count=n * m).reshape(n, m)
-        keys = _row_keys(images)
-        order = np.argsort(keys, kind="stable")
-        self.keys = keys[order]
-        if np.any(self.keys[1:] == self.keys[:-1]):
-            raise InvariantError("two elements share their base images")
-        classes = np.fromiter(cs.class_of.values(), dtype=np.intp, count=n)
-        self.key_class = classes[order]
-        by_class = np.argsort(classes, kind="stable")
-        self.member_images = np.split(images[by_class], np.cumsum(cs.sizes)[:-1])
+        by_class = np.argsort(cs.class_id, kind="stable")
+        self.member_images = np.split(cs.table.images[by_class], np.cumsum(cs.sizes)[:-1])
         self.reps = np.array(cs.reps, dtype=np.int32)
 
     def matrix(self, i: int) -> np.ndarray:
         k = len(self.cs.reps)
         X = self.member_images[self.cs.inverse_class[i]]
-        products = _row_keys(self.reps[:, X]).ravel()
-        pos = np.minimum(np.searchsorted(self.keys, products), len(self.keys) - 1)
-        if not np.array_equal(self.keys[pos], products):
-            raise InvariantError("a product is not an element of the group")
+        products = self.cs.table.find(self.reps[:, X], "a product").ravel()
         column = np.repeat(np.arange(k), len(X))
-        return np.bincount(self.key_class[pos] * k + column, minlength=k * k).reshape(k, k)
+        return np.bincount(self.cs.class_id[products] * k + column, minlength=k * k).reshape(k, k)
 
 
 def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, list[int]]]:

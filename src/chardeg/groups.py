@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from math import lcm
 from operator import itemgetter
 
+import numpy as np
+
 from .numbers import InvariantError
 from .perms import (
     Perm,
@@ -346,49 +348,113 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-@dataclass(frozen=True)
+def _row_keys(images: np.ndarray) -> np.ndarray:
+    """Each row along the last axis of an int32 array as one fixed-width
+    void item, so that whole rows sort, compare and search as single values.
+
+    Void rows have no width limit, unlike images packed into one integer.
+    """
+    width = 4 * images.shape[-1]
+    if not width:  # a view cannot make zero-width items
+        return np.zeros(images.shape[:-1], dtype="V0")
+    return np.ascontiguousarray(images).view(f"V{width}").reshape(images.shape[:-1])
+
+
+@dataclass(frozen=True, eq=False)
+class KeyTable:
+    """Every element of G named by its images of a base (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 4.4).
+
+    images[x] holds the base images of G.elements()[x].  keys holds those
+    rows as fixed-width void items in sorted order, and element[t] is the
+    index of the element whose key is keys[t], so one searchsorted finds
+    the elements of any array of base images.
+    """
+
+    images: np.ndarray
+    keys: np.ndarray
+    element: np.ndarray
+
+    @classmethod
+    def of(cls, images: np.ndarray) -> KeyTable:
+        keys = _row_keys(images)
+        element = np.argsort(keys, kind="stable")
+        keys = keys[element]
+        if np.any(keys[1:] == keys[:-1]):
+            raise InvariantError("two elements share their base images")
+        return cls(images, keys, element)
+
+    def find(self, images: np.ndarray, what: str) -> np.ndarray:
+        """Indices of the elements with the given base images (rows along
+        the last axis); raises InvariantError naming what was looked up
+        when one of them is not an element of the group."""
+        probe = _row_keys(images)
+        pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
+        if not np.array_equal(self.keys[pos], probe):
+            raise InvariantError(f"{what} is not an element of the group")
+        return self.element[pos]
+
+
+@dataclass(frozen=True, eq=False)
 class ClassStructure:
     """Conjugacy classes with canonical (lexicographically least) representatives.
 
-    Class 0 is the identity class; classes are sorted by representative, and
-    class_of indexes every enumerated element.  inverse_class[j] is the class
+    Class 0 is the identity class; classes are sorted by representative.
+    class_id[x] is the class of G.elements()[x], and table names those
+    elements by their base images.  inverse_class[j] is the class
     containing the inverses of class j.
     """
 
     group: PermGroup = field(repr=False)
     reps: tuple[Perm, ...]
     sizes: tuple[int, ...]
-    class_of: dict[Perm, int] = field(repr=False)
     inverse_class: tuple[int, ...]
     order: int
+    table: KeyTable = field(repr=False)
+    class_id: np.ndarray = field(repr=False)
 
     def exponent(self) -> int:
         """Group exponent, the lcm of the representative orders."""
         return lcm(*(perm_order(r) for r in self.reps))
 
 
-def _conjugation(g: Perm):
-    """x -> g^-1 * x * g, with the itemgetter of g^-1 built once."""
-    by_inverse = itemgetter(*inverse(g))
-    return lambda x: by_inverse(itemgetter(*x)(g))
-
-
 def conjugacy_classes(G: PermGroup) -> ClassStructure:
-    """Full class partition of G; requires |G| within the enumeration cap."""
+    """Full class partition of G; requires |G| within the enumeration cap.
+
+    The classes are orbits on element indices: the base images of g^-1 x g
+    are g[x[g^-1[b]]], so for each generator g one gather over the columns
+    of the elements at the points g^-1[b] and one search in the key table
+    give conjugation by g as a map of indices.  Orbits are walked in sorted
+    element order, so each class is found from its least element.
+    """
     elements = G.elements()
-    maps = [_conjugation(g) for g in G.generators]
-    seen: set[Perm] = set()
-    class_of: dict[Perm, int] = {}
+    n, base = len(elements), G.base()
+    inverses = [inverse(g) for g in G.generators]
+    points = {*base, *(h[b] for h in inverses for b in base)}
+    column = {p: np.fromiter(map(itemgetter(p), elements), dtype=np.int32, count=n) for p in points}
+
+    def images_at(pts) -> np.ndarray:
+        return np.array([column[p] for p in pts], dtype=np.int32).reshape(len(pts), n).T
+
+    table = KeyTable.of(images_at(base))
+    conjugations = [
+        table.find(np.array(g, dtype=np.int32)[images_at([h[b] for b in base])], "a conjugate")
+        for g, h in zip(G.generators, inverses)
+    ]
+    maps = [c.tolist().__getitem__ for c in conjugations]
+    class_id = np.empty(n, dtype=np.intp)
+    seen: set[int] = set()
     reps: list[Perm] = []
     sizes: list[int] = []
-    for el in elements:
-        if el in seen:
+    for x in range(n):
+        if x in seen:
             continue
-        members = orbit(el, maps, seen)
-        class_of.update(dict.fromkeys(members, len(reps)))
-        reps.append(el)
+        members = orbit(x, maps, seen)
+        class_id[members] = len(reps)
+        reps.append(elements[x])
         sizes.append(len(members))
-    inverse_class = tuple(class_of[inverse(r)] for r in reps)
+    inverse_images = np.array([[v[b] for b in base] for v in map(inverse, reps)], dtype=np.int32)
+    inverse_class = tuple(class_id[table.find(inverse_images, "an inverse")].tolist())
     if inverse_class[0] != 0 or sum(sizes) != G.order:
         raise InvariantError("class sizes do not partition the group")
     if any(inverse_class[inverse_class[j]] != j for j in range(len(reps))):
@@ -397,7 +463,8 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
         group=G,
         reps=tuple(reps),
         sizes=tuple(sizes),
-        class_of=class_of,
         inverse_class=inverse_class,
         order=G.order,
+        table=table,
+        class_id=class_id,
     )

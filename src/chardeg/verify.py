@@ -75,6 +75,11 @@ class CheckOutcome:
             return "vacuous"
         return "confirmed" if self.conclusion_holds else "VIOLATION"
 
+    @property
+    def informative(self) -> bool:
+        """The hypothesis is met with acd_p > 1, so the group is nonabelian."""
+        return self.hypothesis_met and self.acd is not None and self.acd > 1
+
     def to_dict(self) -> dict:
         out = {
             "check": self.check,

@@ -118,6 +118,8 @@ def test_verify_max_order_zero_runs_only_lie_rows(capsys):
     code, out, _ = run_cli(capsys, "verify", "--max-order", "0", "--lie")
     assert code == 0
     assert "checks: 96  confirmed: 96" in out
+    # Lie coverage rows carry no acd_p, so none of them is informative
+    assert out.rstrip().endswith("errors: 0  informative: 0")
 
 
 def test_verify_json_output(tmp_path, capsys):

@@ -9,6 +9,7 @@ by that oracle and cross-checked before being pinned.
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +101,11 @@ def test_missing_product_is_an_invariant_error():
     # drop the key of one element of class j: products x * 1 with x in
     # class j, counted by the matrix of the inverse class of j, miss it
     j = 2
-    row = int(np.flatnonzero(builder.key_class == j)[0])
-    builder.keys = np.delete(builder.keys, row)
-    builder.key_class = np.delete(builder.key_class, row)
-    with pytest.raises(InvariantError, match="not an element of the group"):
+    table = cs.table
+    row = int(np.flatnonzero(cs.class_id[table.element] == j)[0])
+    keys, element = np.delete(table.keys, row), np.delete(table.element, row)
+    builder.cs = replace(cs, table=replace(table, keys=keys, element=element))
+    with pytest.raises(InvariantError, match="a product is not an element of the group"):
         builder.matrix(cs.inverse_class[j])
 
 

@@ -1,13 +1,16 @@
 """Tests for permutation groups: order, membership, conjugacy classes."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chardeg import groups
 from chardeg.constructions import build, iter_catalog
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
+from chardeg.numbers import InvariantError
 from chardeg.perms import (
     conjugate,
     from_cycles,
@@ -175,9 +178,10 @@ def test_class_zero_is_identity_and_reps_canonical():
         cs = conjugacy_classes(G)
         assert cs.reps[0] == G.identity
         assert cs.sizes[0] == 1
+        elements = G.elements()
         for j, r in enumerate(cs.reps):
-            assert r == min(el for el, c in cs.class_of.items() if c == j)
-            assert cs.class_of[inverse(r)] == cs.inverse_class[j]
+            assert r == min(el for el, c in zip(elements, cs.class_id) if c == j)
+            assert cs.class_id[elements.index(inverse(r))] == cs.inverse_class[j]
             assert cs.sizes[cs.inverse_class[j]] == cs.sizes[j]
         assert sum(cs.sizes) == G.order
 
@@ -189,6 +193,52 @@ def test_classes_agree_with_oracle():
         ocl = oracle_classes(oracle_elements(G.generators, G.degree), G.generators)
         assert sorted(cs.sizes) == sorted(len(c) for c in ocl)
         assert {min(c) for c in ocl} == set(cs.reps)
+
+
+BASE_PATHS = {
+    # a cyclic-shortcut component alone, and beside a stabilizer chain
+    "cyclic:12": lambda: group_of("cyclic:12"),
+    "sym:3xcyclic:4": lambda: group_of("sym:3xcyclic:4"),
+    # a cyclic component with two nontrivial cycles, so two base points
+    "two-cycle-product": two_cycle_product,
+    # empty bases
+    "trivial-degree-3": lambda: PermGroup([], degree=3),
+    "degree-1": lambda: PermGroup([], degree=1),
+}
+
+
+@pytest.mark.parametrize("name", BASE_PATHS)
+def test_classes_match_oracle_on_every_base_path(name):
+    G = BASE_PATHS[name]()
+    cs = conjugacy_classes(G)
+    ocl = oracle_classes(oracle_elements(G.generators, G.degree), G.generators)
+    elements = G.elements()
+    members = [[x for x, c in zip(elements, cs.class_id) if c == j] for j in range(len(cs.reps))]
+    assert sorted(members) == sorted(ocl)
+    assert list(cs.reps) == [m[0] for m in members] == sorted(cs.reps)
+    assert list(cs.sizes) == [len(m) for m in members]
+    for j, r in enumerate(cs.reps):
+        assert inverse(r) in members[cs.inverse_class[j]]
+
+
+def test_missing_conjugate_is_an_invariant_error(monkeypatch):
+    # a key table that lost its last key: the conjugate of that element by
+    # any generator's inverse is then looked up and not found
+    of = groups.KeyTable.of.__func__
+
+    def drop_last(cls, images):
+        table = of(cls, images)
+        return replace(table, keys=table.keys[:-1], element=table.element[:-1])
+
+    monkeypatch.setattr(groups.KeyTable, "of", classmethod(drop_last))
+    with pytest.raises(InvariantError, match="a conjugate is not an element of the group"):
+        conjugacy_classes(group_of("sym:4"))
+
+
+def test_shared_base_images_are_an_invariant_error():
+    images = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.int32)
+    with pytest.raises(InvariantError, match="share their base images"):
+        groups.KeyTable.of(images)
 
 
 def test_class_sizes_divide_order():

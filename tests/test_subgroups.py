@@ -245,7 +245,7 @@ def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
     for spec, G in nonabelian.items():
         classes = conjugacy_classes(G)
         for j, r in enumerate(classes.reps):
-            members = [x for x, c in classes.class_of.items() if c == j]
+            members = [x for x, c in zip(G.elements(), classes.class_id) if c == j]
             brute = orbit(G.identity, [itemgetter(*x) for x in members])
             assert normal_closure(G, [r]).order == len(brute), (spec, r)
 

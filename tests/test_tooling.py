@@ -86,11 +86,21 @@ def test_solver_wide_spectra_match_the_benchmark_reference():
         assert multiset(degrees) == expected, spec
 
 
+
+def test_structure_large_spectra_match_the_benchmark_reference():
+    reference = benchmark_reference("structure-large")
+    assert len(reference) == 6
+    for spec, expected in reference.items():
+        degrees = dixon_degrees(conjugacy_classes(group_of(spec))).degrees
+        assert multiset(degrees) == expected["degrees"], spec
+
 def test_catalog_rows_match_the_benchmark_reference():
     report = run_catalog(VerifyConfig(max_order=150, lie=True))
     rows = json.dumps([c.to_dict() for c in report.checks], separators=(",", ":"))
     digest = hashlib.sha256(rows.encode()).hexdigest()
     assert digest == benchmark_reference("catalog-150")["rows_sha256"]
+    informative = sum(c.informative for c in report.checks)
+    assert informative == benchmark_reference("catalog-150")["counts"]["informative_rows"]
 
 
 def test_structure_facts_match_the_benchmark_reference():
