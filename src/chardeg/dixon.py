@@ -36,7 +36,7 @@ from math import isqrt
 
 import numpy as np
 
-from .groups import ClassStructure, PermGroup, conjugacy_classes
+from .groups import POINT_DTYPE, ClassStructure, PermGroup, conjugacy_classes
 from .numbers import InvariantError, is_prime, sqrt_mod
 
 CLASS_CAP = 150
@@ -240,7 +240,7 @@ class _ClassMatrixBuilder:
         self.cs = cs
         by_class = np.argsort(cs.class_id, kind="stable")
         self.member_images = np.split(cs.table.images[by_class], np.cumsum(cs.sizes)[:-1])
-        self.reps = np.array(cs.reps, dtype=np.int32)
+        self.reps = np.array(cs.reps, dtype=POINT_DTYPE)
 
     def matrix(self, i: int) -> np.ndarray:
         k = len(self.cs.reps)

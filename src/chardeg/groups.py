@@ -6,6 +6,11 @@ shortcuts keep large but structurally simple inputs cheap: generators are
 split into support-disjoint components (a direct product internally), and
 a component with a single generator is handled as an explicit cyclic group
 instead of building transversals.
+
+The elements, when a computation needs all of them, are one sorted int16
+array built from the chain, one row per element, with a key table that
+finds any element from its base images.  Conjugacy classes and cosets are
+orbits of index maps on those rows.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from math import lcm
-from operator import itemgetter
 
 import numpy as np
 
@@ -32,6 +36,11 @@ from .perms import (
 
 MAX_POINTS = 4096
 ENUMERATION_CAP = 100_000
+# Points fit in 16 bits below MAX_POINTS; element rows and base images use it.
+POINT_DTYPE = np.int16
+# Gathers run over blocks of about this many entries, so that numpy's intp
+# copy of an index block stays small beside the element array.
+_BLOCK_ITEMS = 1 << 15
 
 
 class GroupTooLargeError(Exception):
@@ -59,6 +68,20 @@ def orbit(start, maps, seen: set | None = None, limit: int | None = None) -> lis
         if limit is not None and len(points) > limit:
             raise GroupTooLargeError(f"orbit exceeds cap {limit}")
     return points
+
+
+def index_orbits(n: int, maps) -> tuple[np.ndarray, list[int]]:
+    """The orbits of range(n) under maps (callables on indices), numbered in
+    the order of their least points: the orbit number of every index, and
+    the least index of every orbit."""
+    orbit_id = np.empty(n, dtype=np.intp)
+    seen: set[int] = set()
+    least: list[int] = []
+    for x in range(n):  # x is the least of its orbit when first unseen
+        if x not in seen:
+            orbit_id[orbit(x, maps, seen)] = len(least)
+            least.append(x)
+    return orbit_id, least
 
 
 class _Level:
@@ -216,6 +239,26 @@ class _Component:
             p = mult(p, u_inv)
         return all(p[i] == i for i in self.support)
 
+    def factors(self) -> list[np.ndarray]:
+        """Arrays of permutations, one row taken from each, whose products
+        (the row of a later array applied first) are the component's
+        elements, each exactly once: the transversals of the chain levels,
+        or the powers of a cyclic component's generator."""
+        if not self.is_cyclic_shortcut:
+            return [
+                np.array(list(lv.transversal.values()), dtype=POINT_DTYPE) for lv in self.levels()
+            ]
+        g = np.array(self.gens[0], dtype=POINT_DTYPE)
+        powers = np.empty((self._cyclic_order, len(g)), dtype=POINT_DTYPE)
+        powers[0] = np.arange(len(g))
+        done = 1
+        while done < len(powers):  # g^(done+a) is g^a then g^done
+            step = min(done, len(powers) - done)
+            power = g[powers[done - 1]]
+            powers[done : done + step] = _products(power[None, :], powers[:step])
+            done += step
+        return [powers]
+
     def random_element(self, rng: random.Random) -> Perm:
         if self.is_cyclic_shortcut:
             return perm_power(self.gens[0], rng.randrange(self._cyclic_order))
@@ -224,6 +267,41 @@ class _Component:
             pts = sorted(lv.transversal)
             out = mult(out, lv.transversal[rng.choice(pts)])
         return out
+
+
+def _products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Row r of the result is inner[r % len(inner)] then outer[r // len(inner)],
+    that is outer[r // len(inner)][inner[r % len(inner)]], for r in rows
+    (every r below len(outer) * len(inner) when rows is None).
+
+    One gather per block of rows: numpy indexes with an intp copy of the
+    index, and a block keeps that copy small."""
+    m, n = inner.shape
+    if rows is None:
+        rows = np.arange(len(outer) * m)
+    flat, degree = outer.reshape(-1), outer.shape[1]
+    out = np.empty((len(rows), n), dtype=POINT_DTYPE)
+    step = max(1, _BLOCK_ITEMS // max(n, 1))
+    for start in range(0, len(rows), step):
+        a, c = np.divmod(rows[start : start + step], m)
+        # row a of outer starts at a * degree in flat
+        out[start : start + len(a)] = flat[inner[c] + (a * degree)[:, None]]
+    return out
+
+
+def _sorted_products(factors: list[np.ndarray], degree: int, width: int) -> np.ndarray:
+    """Every product of one row per factor (later factors applied first), in
+    lexicographic order, given that the first width columns of the products
+    are already pairwise distinct."""
+    identity = np.arange(degree, dtype=POINT_DTYPE)[None, :]
+    if not factors:
+        return identity
+    top, *rest = factors
+    products = rest.pop() if rest else identity
+    for T in reversed(rest):
+        products = _products(T, products)
+    prefix = _products(top, products[:, :width])
+    return _products(top, products, np.lexsort(prefix.T[::-1]))
 
 
 def _split_components(gens: list[Perm]) -> list[_Component]:
@@ -271,7 +349,8 @@ class PermGroup:
         moved = frozenset().union(*(comp.support for comp in self._components))
         self._fixed_points = tuple(i for i in range(degree) if i not in moved)
         self._order: int | None = None
-        self._elements: list[Perm] | None = None
+        self._elements: np.ndarray | None = None
+        self._table: KeyTable | None = None
         self._abelian: bool | None = None
 
     @property
@@ -330,31 +409,55 @@ class PermGroup:
             out = mult(out, comp.random_element(rng))
         return out
 
-    def elements(self) -> list[Perm]:
-        """All elements, lexicographically sorted; error beyond ENUMERATION_CAP."""
-        # a cached list implies a known order, so this also guards the cache
-        if self._order is not None and self._order > ENUMERATION_CAP:
-            raise GroupTooLargeError(f"group of order {self._order} exceeds cap {ENUMERATION_CAP}")
+    def elements(self) -> np.ndarray:
+        """All elements as one (order, degree) array of POINT_DTYPE rows in
+        lexicographic order; error beyond ENUMERATION_CAP.
+
+        An element is a product of one transversal element per level of its
+        component's stabilizer chain, or a power of a cyclic component's
+        generator, and the components commute (Holt, Eick & O'Brien,
+        Handbook of Computational Group Theory, 4.4).  The rows are those
+        products, built with gathers; the order of the rows is found from
+        the columns up to the last base point, which already separate them.
+        The transversal products lie in G and the key table shows them to be
+        distinct, so they are G exactly when every product with a generator
+        is again one of them; that is checked row for row.
+        """
+        if self.order > ENUMERATION_CAP:
+            raise GroupTooLargeError(f"group of order {self.order} exceeds cap {ENUMERATION_CAP}")
         if self._elements is None:
-            # itemgetter(*g)(x) is mult(g, x) in one C call
-            maps = [itemgetter(*g) for g in self.generators]
-            found = orbit(self.identity, maps, limit=ENUMERATION_CAP)
-            if len(found) != self.order:
-                raise InvariantError("closure disagrees with the stabilizer chain")
-            self._elements = sorted(found)
+            base = list(self.base())
+            factors = [f for comp in self._components for f in comp.factors()]
+            elements = _sorted_products(factors, self.degree, max(base, default=-1) + 1)
+            table = KeyTable.of(elements[:, base])
+            gens = np.array(self.generators, dtype=POINT_DTYPE)
+            gens = gens.reshape(len(self.generators), self.degree)
+            step = max(1, _BLOCK_ITEMS // max(1, self.degree * len(gens)))
+            for start in range(0, len(elements), step):
+                products = _products(gens, elements[start : start + step])
+                found = table.find(products[:, base], "a product")
+                if not np.array_equal(elements[found], products):
+                    raise InvariantError("closure disagrees with the stabilizer chain")
+            self._elements, self._table = elements, table
         return self._elements
+
+    def key_table(self) -> KeyTable:
+        """The key table of elements(), built with it and kept beside it."""
+        if self._table is None:
+            self.elements()
+        return self._table
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
 def _row_keys(images: np.ndarray) -> np.ndarray:
-    """Each row along the last axis of an int32 array as one fixed-width
+    """Each row along the last axis of an integer array as one fixed-width
     void item, so that whole rows sort, compare and search as single values.
 
     Void rows have no width limit, unlike images packed into one integer.
     """
-    width = 4 * images.shape[-1]
+    width = images.itemsize * images.shape[-1]
     if not width:  # a view cannot make zero-width items
         return np.zeros(images.shape[:-1], dtype="V0")
     return np.ascontiguousarray(images).view(f"V{width}").reshape(images.shape[:-1])
@@ -365,7 +468,8 @@ class KeyTable:
     """Every element of G named by its images of a base (Holt, Eick &
     O'Brien, Handbook of Computational Group Theory, 4.4).
 
-    images[x] holds the base images of G.elements()[x].  keys holds those
+    images[x] holds the base images of G.elements()[x], as POINT_DTYPE
+    (probes must use the same dtype, so that keys match).  keys holds those
     rows as fixed-width void items in sorted order, and element[t] is the
     index of the element whose key is keys[t], so one searchsorted finds
     the elements of any array of base images.
@@ -423,37 +527,21 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
 
     The classes are orbits on element indices: the base images of g^-1 x g
     are g[x[g^-1[b]]], so for each generator g one gather over the columns
-    of the elements at the points g^-1[b] and one search in the key table
-    give conjugation by g as a map of indices.  Orbits are walked in sorted
-    element order, so each class is found from its least element.
+    of the elements at the points g^-1[b] and one search in the group's key
+    table give conjugation by g as a map of indices.  Orbits are walked in
+    sorted element order, so each class is found from its least element.
     """
-    elements = G.elements()
+    elements, table = G.elements(), G.key_table()
     n, base = len(elements), G.base()
     inverses = [inverse(g) for g in G.generators]
-    points = {*base, *(h[b] for h in inverses for b in base)}
-    column = {p: np.fromiter(map(itemgetter(p), elements), dtype=np.int32, count=n) for p in points}
-
-    def images_at(pts) -> np.ndarray:
-        return np.array([column[p] for p in pts], dtype=np.int32).reshape(len(pts), n).T
-
-    table = KeyTable.of(images_at(base))
     conjugations = [
-        table.find(np.array(g, dtype=np.int32)[images_at([h[b] for b in base])], "a conjugate")
+        table.find(np.array(g, dtype=POINT_DTYPE)[elements[:, [h[b] for b in base]]], "a conjugate")
         for g, h in zip(G.generators, inverses)
     ]
-    maps = [c.tolist().__getitem__ for c in conjugations]
-    class_id = np.empty(n, dtype=np.intp)
-    seen: set[int] = set()
-    reps: list[Perm] = []
-    sizes: list[int] = []
-    for x in range(n):
-        if x in seen:
-            continue
-        members = orbit(x, maps, seen)
-        class_id[members] = len(reps)
-        reps.append(elements[x])
-        sizes.append(len(members))
-    inverse_images = np.array([[v[b] for b in base] for v in map(inverse, reps)], dtype=np.int32)
+    class_id, rows = index_orbits(n, [c.tolist().__getitem__ for c in conjugations])
+    sizes = np.bincount(class_id, minlength=len(rows)).tolist()
+    reps = list(map(tuple, elements[rows].tolist()))
+    inverse_images = np.array([[v[b] for b in base] for v in map(inverse, reps)], dtype=POINT_DTYPE)
     inverse_class = tuple(class_id[table.find(inverse_images, "an inverse")].tolist())
     if inverse_class[0] != 0 or sum(sizes) != G.order:
         raise InvariantError("class sizes do not partition the group")

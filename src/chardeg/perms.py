@@ -7,10 +7,11 @@ to right: ``mult(p, q)`` acts as "apply p, then q", so that the image of
 Products run in C: ``operator.itemgetter(*p)(q)`` is exactly the tuple of
 ``q[i]`` for ``i`` in ``p``, without a Python-level loop.  The identity test
 compares with a cached identity tuple, which is also a single C comparison.
-Permutations stay Python tuples rather than numpy arrays: at the degrees
-used here (at most a few hundred points) numpy's per-call overhead exceeds
-the whole product, and tuples hash, so they key the element and class
-dictionaries directly.
+A single permutation stays a Python tuple rather than a numpy array: at
+the degrees used here (at most a few hundred points) numpy's per-call
+overhead exceeds the whole product.  Where every element of a group is
+needed at once (classes, cosets, class matrices), ``groups`` holds them as
+the rows of one integer array and multiplies them with whole-array gathers.
 """
 
 from __future__ import annotations

@@ -12,13 +12,14 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .groups import MAX_POINTS, GroupTooLargeError, PermGroup, orbit
+import numpy as np
+
+from .groups import MAX_POINTS, POINT_DTYPE, GroupTooLargeError, PermGroup, index_orbits, orbit
 from .numbers import InvariantError
 from .perms import (
     Perm,
     commutator,
     conjugate,
-    mult,
     perm_order,
     perm_power,
 )
@@ -115,7 +116,9 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
         rng = random.Random(seed)
         for _ in range(_SYLOW_RANDOM_TRIES):
             yield G.random_element(rng)
-        yield from G.elements()  # lazy: G is enumerated only if sampling falls short
+        # lazy: G is enumerated only if sampling falls short, and its rows
+        # become tuples one at a time
+        yield from (tuple(row.tolist()) for row in G.elements())
 
     gens: list[Perm] = []
     closure: set[Perm] = {G.identity}
@@ -161,9 +164,11 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     """G/N as a permutation group on the left cosets of N.
 
     The cosets xN are the orbits of G's elements under x -> x*n for the
-    generators n of N.  G's sorted elements are walked in order, so each
-    coset is numbered by its least member.  This enumerates G, so it needs
-    |G| within ENUMERATION_CAP.  The quotient by the trivial subgroup is G
+    generators n of N.  The base images of x*n are n[x[b]], so one gather
+    and one search in G's key table give each x -> x*n as a map of element
+    indices.  G's sorted elements are walked in order, so each coset is
+    numbered by its least member.  This enumerates G, so it needs |G|
+    within ENUMERATION_CAP.  The quotient by the trivial subgroup is G
     itself, and the quotient by G is the one-point trivial group.
     """
     NG = N.group
@@ -176,16 +181,22 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     index = G.order // NG.order
     if index > MAX_POINTS:
         raise ValueError(f"coset space of size {index} exceeds the {MAX_POINTS}-point cap")
-    by_n = [lambda x, n=n: mult(x, n) for n in NG.generators]
-    coset_of: dict[Perm, int] = {}
-    reps: list[Perm] = []
-    for x in G.elements():
-        if x not in coset_of:
-            coset_of.update(dict.fromkeys(orbit(x, by_n), len(reps)))
-            reps.append(x)
+    elements, table = G.elements(), G.key_table()
+    base = list(G.base())
+    images = elements[:, base]
+    by_n = [
+        table.find(np.array(n, dtype=POINT_DTYPE)[images], "a coset member").tolist().__getitem__
+        for n in NG.generators
+    ]
+    coset_of, reps = index_orbits(len(elements), by_n)
     if len(reps) != index:
         raise InvariantError(f"{len(reps)} cosets found for index {index}")
-    gens = [tuple(coset_of[mult(a, r)] for r in reps) for a in G.generators]
+    # the base images of a*r are r[a[b]]
+    rep_rows = elements[reps]
+    gens = [
+        tuple(coset_of[table.find(rep_rows[:, [a[b] for b in base]], "a product")].tolist())
+        for a in G.generators
+    ]
     Q = PermGroup(gens, degree=index)
     if Q.order != index:
         raise InvariantError(f"quotient has order {Q.order}, not {index}")
@@ -196,7 +207,6 @@ def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
     """N_G(H) by scanning the elements of G; meant for small groups."""
     HG = H.group
     hgens = HG.generators
-    members = [
-        g for g in G.elements() if all(HG.contains(conjugate(h, g)) for h in hgens)
-    ]
+    rows = (tuple(row.tolist()) for row in G.elements())
+    members = [g for g in rows if all(HG.contains(conjugate(h, g)) for h in hgens)]
     return SubgroupHandle(PermGroup(members, degree=G.degree), G)

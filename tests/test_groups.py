@@ -1,6 +1,7 @@
 """Tests for permutation groups: order, membership, conjugacy classes."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,10 @@ from support import group_of, two_cycle_product
 
 def sym_gens(n):
     return [from_cycles([(0, 1)], n), from_cycles([tuple(range(n))], n)]
+
+
+def element_tuples(G):
+    return list(map(tuple, G.elements().tolist()))
 
 
 def test_orders_of_standard_groups():
@@ -59,12 +64,12 @@ def test_trivial_group_requires_degree():
         PermGroup([])
     T = PermGroup([], degree=3)
     assert T.order == 1 and not T.generators and T.is_abelian()
-    assert T.elements() == [identity_perm(3)]
+    assert element_tuples(T) == [identity_perm(3)]
 
 
 def test_contains_matches_enumeration():
     G = group_of("frob:7:1:3")
-    universe = set(G.elements())
+    universe = set(element_tuples(G))
     rng = random.Random(7)
     for _ in range(50):
         p = tuple(rng.sample(range(G.degree), G.degree))
@@ -83,7 +88,7 @@ def test_stabilizer_chain_invariants(spec):
         for x, u in lv.transversal.items():
             assert u[lv.point] == x
             assert is_identity(mult(u, lv.inverses[x]))
-    universe = set(G.elements())
+    universe = set(element_tuples(G))
     assert all(G.contains(x) for x in universe)
     rng = random.Random(11)
     for _ in range(100):
@@ -106,7 +111,7 @@ def test_random_element_lands_in_group():
 def test_elements_cross_validates_order():
     for spec in ["cyclic:12", "dihedral:7", "sym:4", "alt:5", "psl2:7"]:
         G = group_of(spec)
-        els = G.elements()
+        els = element_tuples(G)
         assert len(els) == G.order
         assert els == sorted(set(els))
 
@@ -117,12 +122,13 @@ def test_enumeration_cap(monkeypatch):
     G = group_of("sym:8")
     with pytest.raises(GroupTooLargeError):
         G.elements()
-    # a group made from generators alone has no order yet, so the orbit's
-    # own cap decides, exactly at the boundary
+    # a group made from generators alone has no order yet: its chain gives
+    # one, and that decides before any element is built, exactly at the
+    # boundary
     monkeypatch.setattr(groups, "ENUMERATION_CAP", 120)
     assert len(PermGroup(sym_gens(5)).elements()) == 120
     monkeypatch.setattr(groups, "ENUMERATION_CAP", 119)
-    with pytest.raises(GroupTooLargeError, match="orbit exceeds cap 119"):
+    with pytest.raises(GroupTooLargeError, match="group of order 120 exceeds cap 119"):
         PermGroup(sym_gens(5)).elements()
     G = group_of("sym:5")
     assert G.order == 120  # known order: refused before enumerating
@@ -149,10 +155,10 @@ def test_orbit_shared_seen_partitions_s4_into_classes():
     G = group_of("sym:4")
     maps = [lambda x, g=g: conjugate(x, g) for g in G.generators]
     seen = set()
-    classes = [orbit(x, maps, seen) for x in G.elements() if x not in seen]
+    classes = [orbit(x, maps, seen) for x in element_tuples(G) if x not in seen]
     assert len(classes) == 5
     assert sorted(map(len, classes)) == [1, 3, 6, 6, 8]
-    assert seen == set(G.elements())
+    assert seen == set(element_tuples(G))
     assert sum(map(len, classes)) == len(seen)  # disjoint
     assert [c[0] for c in classes] == list(conjugacy_classes(G).reps)
 
@@ -178,7 +184,7 @@ def test_class_zero_is_identity_and_reps_canonical():
         cs = conjugacy_classes(G)
         assert cs.reps[0] == G.identity
         assert cs.sizes[0] == 1
-        elements = G.elements()
+        elements = element_tuples(G)
         for j, r in enumerate(cs.reps):
             assert r == min(el for el, c in zip(elements, cs.class_id) if c == j)
             assert cs.class_id[elements.index(inverse(r))] == cs.inverse_class[j]
@@ -204,7 +210,59 @@ BASE_PATHS = {
     # empty bases
     "trivial-degree-3": lambda: PermGroup([], degree=3),
     "degree-1": lambda: PermGroup([], degree=1),
+    "degree-0": lambda: PermGroup([], degree=0),
+    # a chain of three levels, and a sharply 2-transitive group (two levels)
+    "psl2:7": lambda: group_of("psl2:7"),
+    "agl1:8": lambda: group_of("agl1:8"),
 }
+
+
+def bfs_closure(G):
+    """Every element of G as a word in its generators, breadth first from
+    the identity, sorted."""
+    seen = {G.identity}
+    todo = [G.identity]
+    for x in todo:  # the list grows while it is walked
+        for g in G.generators:
+            y = tuple(g[i] for i in x)  # x, then g
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("name", BASE_PATHS)
+def test_element_rows_equal_the_generator_closure(name):
+    G = BASE_PATHS[name]()
+    E = G.elements()
+    assert E.dtype == groups.POINT_DTYPE and E.shape == (G.order, G.degree)
+    assert element_tuples(G) == bfs_closure(G)
+
+
+def test_corrupted_transversal_entry_fails_the_closure_check():
+    # S_4 on {0..3}, with points 4 and 5 fixed: a transversal entry that
+    # also swaps 4 and 5 still maps the base point where it should, and no
+    # base image sees the swap, but the products are no longer closed
+    G = PermGroup([from_cycles([(0, 1)], 6), from_cycles([(0, 1, 2, 3)], 6)])
+    (level, *_) = G._components[0].levels()
+    x = next(x for x in level.transversal if x != level.point)
+    level.transversal[x] = mult(level.transversal[x], from_cycles([(4, 5)], 6))
+    with pytest.raises(InvariantError, match="closure disagrees with the stabilizer chain"):
+        G.elements()
+
+
+def test_enumeration_peak_memory_stays_near_the_element_array():
+    # no list of tuples and no full-size intp copy of the rows: either alone
+    # would be several times the int16 array
+    G = group_of("psl2:27")
+    assert G.order == 9828  # the chain is built before tracing
+    tracemalloc.start()
+    try:
+        E = G.elements()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * E.nbytes
 
 
 @pytest.mark.parametrize("name", BASE_PATHS)
@@ -212,7 +270,7 @@ def test_classes_match_oracle_on_every_base_path(name):
     G = BASE_PATHS[name]()
     cs = conjugacy_classes(G)
     ocl = oracle_classes(oracle_elements(G.generators, G.degree), G.generators)
-    elements = G.elements()
+    elements = element_tuples(G)
     members = [[x for x, c in zip(elements, cs.class_id) if c == j] for j in range(len(cs.reps))]
     assert sorted(members) == sorted(ocl)
     assert list(cs.reps) == [m[0] for m in members] == sorted(cs.reps)
@@ -221,18 +279,27 @@ def test_classes_match_oracle_on_every_base_path(name):
         assert inverse(r) in members[cs.inverse_class[j]]
 
 
-def test_missing_conjugate_is_an_invariant_error(monkeypatch):
-    # a key table that lost its last key: the conjugate of that element by
-    # any generator's inverse is then looked up and not found
-    of = groups.KeyTable.of.__func__
+def drop_last_key(table):
+    return replace(table, keys=table.keys[:-1], element=table.element[:-1])
 
-    def drop_last(cls, images):
-        table = of(cls, images)
-        return replace(table, keys=table.keys[:-1], element=table.element[:-1])
 
-    monkeypatch.setattr(groups.KeyTable, "of", classmethod(drop_last))
+def test_missing_conjugate_is_an_invariant_error():
+    # a key table that lost its last key after enumeration: the conjugate of
+    # that element by any generator's inverse is then looked up and not found
+    G = group_of("sym:4")
+    G._table = drop_last_key(G.key_table())
     with pytest.raises(InvariantError, match="a conjugate is not an element of the group"):
-        conjugacy_classes(group_of("sym:4"))
+        conjugacy_classes(G)
+
+
+def test_missing_product_fails_the_closure_check(monkeypatch):
+    # a key table that lost its last key before the closure check: the
+    # product of some element with a generator is then not found
+    of = groups.KeyTable.of.__func__
+    drop_after = classmethod(lambda cls, images: drop_last_key(of(cls, images)))
+    monkeypatch.setattr(groups.KeyTable, "of", drop_after)
+    with pytest.raises(InvariantError, match="a product is not an element of the group"):
+        group_of("sym:4").elements()
 
 
 def test_shared_base_images_are_an_invariant_error():
@@ -265,7 +332,7 @@ def test_closure_membership_property(gens):
 
 def separated_by_base(G: PermGroup) -> bool:
     base = G.base()
-    return len({tuple(x[b] for b in base) for x in G.elements()}) == G.order
+    return len({tuple(x[b] for b in base) for x in element_tuples(G)}) == G.order
 
 
 def test_base_concatenates_component_bases():

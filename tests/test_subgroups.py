@@ -82,7 +82,7 @@ def test_sylow_is_p_subgroup_and_seed_stable():
         while n % p == 0:
             n //= p
         assert P0.group.order * n == G.order
-        for x in P0.group.elements():
+        for x in map(tuple, P0.group.elements().tolist()):
             assert G.contains(x)
 
 
@@ -191,12 +191,12 @@ def test_quotient_group():
 
 def reference_quotient(G, N):
     """G/N on the cosets keyed by min over x*N, numbered in sorted key order."""
-    n_elems = N.elements()
+    n_elems = list(map(tuple, N.elements().tolist()))
 
     def key(x):
         return min(mult(x, n) for n in n_elems)
 
-    cosets = sorted({key(x) for x in G.elements()})
+    cosets = sorted({key(x) for x in map(tuple, G.elements().tolist())})
     pos = {c: i for i, c in enumerate(cosets)}
     gens = [[pos[key(mult(a, c))] for c in cosets] for a in G.generators]
     return PermGroup(gens, degree=len(cosets))
@@ -227,13 +227,14 @@ def test_quotient_class_count_not_above_parent():
 def test_normal_closure():
     S4 = group_of("sym:4")
     # closure of a single transposition is all of S4
-    t = next(g for g in S4.elements() if sorted(i for i, j in enumerate(g) if i != j) == [0, 1])
+    elements = map(tuple, S4.elements().tolist())
+    t = next(g for g in elements if sorted(i for i, j in enumerate(g) if i != j) == [0, 1])
     assert normal_closure(S4, [t]).order == 24
     # closure of a double transposition is the Klein four group
     d = (1, 0, 3, 2)
     K = normal_closure(S4, [d])
     assert K.order == 4
-    for x in K.elements():
+    for x in map(tuple, K.elements().tolist()):
         for g in S4.generators:
             assert K.contains(conjugate(x, g))
 
@@ -245,7 +246,8 @@ def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
     for spec, G in nonabelian.items():
         classes = conjugacy_classes(G)
         for j, r in enumerate(classes.reps):
-            members = [x for x, c in zip(G.elements(), classes.class_id) if c == j]
+            elements = map(tuple, G.elements().tolist())
+            members = [x for x, c in zip(elements, classes.class_id) if c == j]
             brute = orbit(G.identity, [itemgetter(*x) for x in members])
             assert normal_closure(G, [r]).order == len(brute), (spec, r)
 
@@ -266,7 +268,7 @@ def test_normalizer_contains_subgroup_and_fixes_it():
     G = group_of("dihedral:6")
     H = sylow(G, 3)
     N = normalizer(G, H)
-    for x in H.group.elements():
+    for x in map(tuple, H.group.elements().tolist()):
         assert N.group.contains(x)
     for n in N.group.generators:
         for h in H.group.generators:
