@@ -230,22 +230,22 @@ class _ClassMatrixBuilder:
     used by the eigen splitter: A_i[j, k] counts x in class i with
     x^{-1} z_k in class j, so that A_i w = w_i w for central characters w.
 
-    Elements are named by their base images in the class structure's key
-    table: the images of x z are z[x[b]] over the base points b, so one
-    gather gives the names of all products x z, and one search in the
-    table their elements and so their classes.
+    Elements are named by their base images, which the class structure's
+    chain index sifts to element rows: the images of x z are z[x[b]] over
+    the base points b, so one gather gives the names of all products x z,
+    and one lookup in the index their elements and so their classes.
     """
 
     def __init__(self, cs: ClassStructure):
         self.cs = cs
         by_class = np.argsort(cs.class_id, kind="stable")
-        self.member_images = np.split(cs.table.images[by_class], np.cumsum(cs.sizes)[:-1])
+        self.member_images = np.split(cs.index.images[by_class], np.cumsum(cs.sizes)[:-1])
         self.reps = np.array(cs.reps, dtype=POINT_DTYPE)
 
     def matrix(self, i: int) -> np.ndarray:
         k = len(self.cs.reps)
         X = self.member_images[self.cs.inverse_class[i]]
-        products = self.cs.table.find(self.reps[:, X], "a product").ravel()
+        products = self.cs.index.find(self.reps[:, X], "a product").ravel()
         column = np.repeat(np.arange(k), len(X))
         return np.bincount(self.cs.class_id[products] * k + column, minlength=k * k).reshape(k, k)
 

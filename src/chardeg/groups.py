@@ -5,19 +5,21 @@ and membership tests come from a deterministic Schreier-Sims chain.  Two
 shortcuts keep large but structurally simple inputs cheap: generators are
 split into support-disjoint components (a direct product internally), and
 a component with a single generator is handled as an explicit cyclic group
-instead of building transversals.
+instead of running Schreier-Sims; its levels, needed only when elements
+are listed, are powers of the generator in closed form.
 
 The elements, when a computation needs all of them, are one sorted int16
-array built from the chain, one row per element, with a key table that
-finds any element from its base images.  Conjugacy classes and cosets are
-orbits of index maps on those rows.
+array built from the chain, one row per element, with an index that finds
+any element from its base images by sifting them through the chain.
+Conjugacy classes and cosets are orbits of index maps on those rows.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
-from math import lcm
+from math import gcd, lcm, prod
 
 import numpy as np
 
@@ -101,8 +103,13 @@ class _Level:
         self.inverses: dict[int, Perm] = {point: identity}
 
 
-def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
-    """Deterministic Schreier-Sims; returns the verified stabilizer chain."""
+def _schreier_sims(gens: list[Perm], degree: int, stop_at: int | None = None) -> list[_Level]:
+    """Deterministic Schreier-Sims; returns the verified stabilizer chain.
+
+    With stop_at, it returns early, with a partial chain, as soon as the
+    basic orbits multiply to stop_at: the orbits of a partial chain multiply
+    to at most the group's order, so the group then has at least that order.
+    """
     identity = identity_perm(degree)
     levels: list[_Level] = []
 
@@ -160,6 +167,8 @@ def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
         level = levels[i]
         gens_here = chain_gens(i)
         orbit = rebuild_orbit(i, gens_here)
+        if stop_at is not None and prod(len(lv.transversal) for lv in levels) >= stop_at:
+            return levels
         restart = -1
         for x in orbit:
             ux = level.transversal[x]
@@ -239,25 +248,44 @@ class _Component:
             p = mult(p, u_inv)
         return all(p[i] == i for i in self.support)
 
+    def base(self) -> list[int]:
+        """The base points of the component's levels: the chain's, or for a
+        cyclic <g> the least point of every nontrivial cycle of g (a power
+        of g that fixes a point of a cycle fixes that whole cycle)."""
+        if self.is_cyclic_shortcut:
+            return [c[0] for c in cycles(self.gens[0]) if len(c) > 1]
+        return [lv.point for lv in self.levels()]
+
     def factors(self) -> list[np.ndarray]:
-        """Arrays of permutations, one row taken from each, whose products
+        """The transversal of every level, in base() order, as an array
+        whose row 0 is the identity: the products of one row from each
         (the row of a later array applied first) are the component's
-        elements, each exactly once: the transversals of the chain levels,
-        or the powers of a cyclic component's generator."""
+        elements, each exactly once.
+
+        A cyclic <g> has its levels in closed form: where the earlier base
+        points are fixed by <g^s>, the level of a cycle of length l holds
+        the powers of g^s below l / gcd(l, s), one row where g^s already
+        fixes that cycle.
+        """
         if not self.is_cyclic_shortcut:
+            degree = len(self.gens[0])
             return [
-                np.array(list(lv.transversal.values()), dtype=POINT_DTYPE) for lv in self.levels()
+                np.fromiter(
+                    itertools.chain.from_iterable(lv.transversal.values()),
+                    dtype=POINT_DTYPE,
+                    count=len(lv.transversal) * degree,
+                ).reshape(-1, degree)
+                for lv in self.levels()
             ]
-        g = np.array(self.gens[0], dtype=POINT_DTYPE)
-        powers = np.empty((self._cyclic_order, len(g)), dtype=POINT_DTYPE)
-        powers[0] = np.arange(len(g))
-        done = 1
-        while done < len(powers):  # g^(done+a) is g^a then g^done
-            step = min(done, len(powers) - done)
-            power = g[powers[done - 1]]
-            powers[done : done + step] = _products(power[None, :], powers[:step])
-            done += step
-        return [powers]
+        g = self.gens[0]
+        identity = np.arange(len(g), dtype=POINT_DTYPE)[None, :]
+        out, s = [], 1
+        for c in cycles(g):
+            if len(c) > 1:
+                radix = len(c) // gcd(len(c), s)
+                out.append(_powers(perm_power(g, s), radix) if radix > 1 else identity)
+                s *= radix
+        return out
 
     def random_element(self, rng: random.Random) -> Perm:
         if self.is_cyclic_shortcut:
@@ -289,19 +317,40 @@ def _products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray | None = No
     return out
 
 
-def _sorted_products(factors: list[np.ndarray], degree: int, width: int) -> np.ndarray:
+def _powers(h: Perm, count: int) -> np.ndarray:
+    """h^0, .., h^(count-1) as the rows of one array, by doubling."""
+    h = np.array(h, dtype=POINT_DTYPE)
+    powers = np.empty((count, len(h)), dtype=POINT_DTYPE)
+    powers[0] = np.arange(len(h))
+    done = 1
+    while done < count:  # h^(done+a) is h^a then h^done
+        step = min(done, count - done)
+        power = h[powers[done - 1]]
+        powers[done : done + step] = _products(power[None, :], powers[:step])
+        done += step
+    return powers
+
+
+def _sorted_products(
+    factors: list[np.ndarray], degree: int, width: int
+) -> tuple[np.ndarray, np.ndarray]:
     """Every product of one row per factor (later factors applied first), in
     lexicographic order, given that the first width columns of the products
-    are already pairwise distinct."""
+    are already pairwise distinct; and the row of every product by its
+    coordinate, the factor rows read as mixed-radix digits with the first
+    factor's the most significant."""
     identity = np.arange(degree, dtype=POINT_DTYPE)[None, :]
     if not factors:
-        return identity
+        return identity, np.zeros(1, dtype=np.intp)
     top, *rest = factors
     products = rest.pop() if rest else identity
     for T in reversed(rest):
         products = _products(T, products)
     prefix = _products(top, products[:, :width])
-    return _products(top, products, np.lexsort(prefix.T[::-1]))
+    order = np.lexsort(prefix.T[::-1])
+    row_of_coord = np.empty_like(order)
+    row_of_coord[order] = np.arange(len(order))
+    return _products(top, products, order), row_of_coord
 
 
 def _split_components(gens: list[Perm]) -> list[_Component]:
@@ -350,7 +399,7 @@ class PermGroup:
         self._fixed_points = tuple(i for i in range(degree) if i not in moved)
         self._order: int | None = None
         self._elements: np.ndarray | None = None
-        self._table: KeyTable | None = None
+        self._index: ChainIndex | None = None
         self._abelian: bool | None = None
 
     @property
@@ -388,20 +437,10 @@ class PermGroup:
         return True
 
     def base(self) -> tuple[int, ...]:
-        """Points whose images determine every element of G.
-
-        Components move disjoint points, so their bases concatenate: a
-        stabilizer chain's base points, or for a cyclic component <g> one
-        point of every nontrivial cycle of g (a power of g that fixes a
-        point of a cycle fixes that whole cycle).
-        """
-        points: list[int] = []
-        for comp in self._components:
-            if comp.is_cyclic_shortcut:
-                points.extend(c[0] for c in cycles(comp.gens[0]) if len(c) > 1)
-            else:
-                points.extend(lv.point for lv in comp.levels())
-        return tuple(points)
+        """Points whose images determine every element of G: the base points
+        of every component's levels (see _Component.base), concatenated,
+        since components move disjoint points."""
+        return tuple(b for comp in self._components for b in comp.base())
 
     def random_element(self, rng: random.Random) -> Perm:
         out = self.identity
@@ -414,89 +453,151 @@ class PermGroup:
         lexicographic order; error beyond ENUMERATION_CAP.
 
         An element is a product of one transversal element per level of its
-        component's stabilizer chain, or a power of a cyclic component's
-        generator, and the components commute (Holt, Eick & O'Brien,
-        Handbook of Computational Group Theory, 4.4).  The rows are those
-        products, built with gathers; the order of the rows is found from
-        the columns up to the last base point, which already separate them.
-        The transversal products lie in G and the key table shows them to be
-        distinct, so they are G exactly when every product with a generator
-        is again one of them; that is checked row for row.
+        component's chain (a cyclic component's levels in closed form), and
+        the components commute (Holt, Eick & O'Brien, Handbook of
+        Computational Group Theory, 4.4).  The rows are those products,
+        built with gathers; the order of the rows is found from the columns
+        up to the last base point, which already separate them.  The
+        products lie in G, so they are G exactly when every product of a row
+        with a generator is again a row; that is checked in full against
+        the row the chain index finds.  Then every row's own base images
+        must find that row, so no two rows share them.
         """
         if self.order > ENUMERATION_CAP:
             raise GroupTooLargeError(f"group of order {self.order} exceeds cap {ENUMERATION_CAP}")
         if self._elements is None:
             base = list(self.base())
-            factors = [f for comp in self._components for f in comp.factors()]
-            elements = _sorted_products(factors, self.degree, max(base, default=-1) + 1)
-            table = KeyTable.of(elements[:, base])
+            transversals = [comp.factors() for comp in self._components]
+            factors = [T for levels in transversals for T in levels if len(T) > 1]
+            elements, row_of_coord = _sorted_products(
+                factors, self.degree, max(base, default=-1) + 1
+            )
+            index = ChainIndex.of(transversals, base, elements[:, base], row_of_coord)
             gens = np.array(self.generators, dtype=POINT_DTYPE)
             gens = gens.reshape(len(self.generators), self.degree)
             step = max(1, _BLOCK_ITEMS // max(1, self.degree * len(gens)))
             for start in range(0, len(elements), step):
                 products = _products(gens, elements[start : start + step])
-                found = table.find(products[:, base], "a product")
+                found = index.find(products[:, base], "a product")
                 if not np.array_equal(elements[found], products):
                     raise InvariantError("closure disagrees with the stabilizer chain")
-            self._elements, self._table = elements, table
+            rows = index.find(index.images, "an element row")
+            if not np.array_equal(rows, np.arange(len(elements))):
+                raise InvariantError("two elements share their base images")
+            self._elements, self._index = elements, index
         return self._elements
 
-    def key_table(self) -> KeyTable:
-        """The key table of elements(), built with it and kept beside it."""
-        if self._table is None:
+    def chain_index(self) -> ChainIndex:
+        """The chain index of elements(), built with it and kept beside it."""
+        if self._index is None:
             self.elements()
-        return self._table
+        return self._index
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
 
 
-def _row_keys(images: np.ndarray) -> np.ndarray:
-    """Each row along the last axis of an integer array as one fixed-width
-    void item, so that whole rows sort, compare and search as single values.
+def is_whole_group(K: PermGroup, G: PermGroup) -> bool:
+    """Whether K, a subgroup of G, is all of G.
 
-    Void rows have no width limit, unlike images packed into one integer.
+    Each chain of K is built only until its basic orbits multiply to |G|:
+    those of a partial chain multiply to at most the order of its
+    component, so at most |K|, and reaching |G| means K is G; the rest of
+    the chain is never built.  A chain that stops
+    short of |G| is complete, and K keeps it.
     """
-    width = images.itemsize * images.shape[-1]
-    if not width:  # a view cannot make zero-width items
-        return np.zeros(images.shape[:-1], dtype="V0")
-    return np.ascontiguousarray(images).view(f"V{width}").reshape(images.shape[:-1])
+    for comp in K._components:
+        if not comp.is_cyclic_shortcut and comp._levels is None:
+            levels = _schreier_sims(comp.gens, K.degree, stop_at=G.order)
+            if prod(len(lv.transversal) for lv in levels) >= G.order:
+                return True
+            comp._levels = levels
+    return K.order == G.order
 
 
 @dataclass(frozen=True, eq=False)
-class KeyTable:
-    """Every element of G named by its images of a base (Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 4.4).
+class IndexLevel:
+    """One level of a ChainIndex, for the base point at the same place in
+    the base: positions[x] is the row of the level's transversal that maps
+    the base point to x, or -1 off its orbit (None when the orbit is the
+    base point alone); inverses[i] is the inverse of transversal row i,
+    needed only for the base columns `later` of the same component."""
 
-    images[x] holds the base images of G.elements()[x], as POINT_DTYPE
-    (probes must use the same dtype, so that keys match).  keys holds those
-    rows as fixed-width void items in sorted order, and element[t] is the
-    index of the element whose key is keys[t], so one searchsorted finds
-    the elements of any array of base images.
+    point: int
+    radix: int
+    positions: np.ndarray | None
+    inverses: np.ndarray | None
+    later: slice
+
+
+@dataclass(frozen=True, eq=False)
+class ChainIndex:
+    """Every element of G named by its images of a base, found by sifting
+    those images through the stabilizer chain (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 4.3-4.4).
+
+    images[x] holds the base images of G.elements()[x].  Every element x
+    is a product of one row u_j of each level's transversal, deeper rows
+    applied first (x[p] = u_0[u_1[..u_m[p]..]]), and the deeper u_k fix
+    level j's base point b_j; so with u_0, .., u_(j-1) divided off the
+    images, x[b_j] = u_j[b_j], and positions[x[b_j]] is the row of u_j.  Dividing u_j off in turn is one
+    gather per later base point of its component.  The rows, read as
+    mixed-radix digits with level 0 the most significant, are the
+    coordinate that row_of_coord turns into x's row in G.elements().
     """
 
     images: np.ndarray
-    keys: np.ndarray
-    element: np.ndarray
+    levels: tuple[IndexLevel, ...]
+    row_of_coord: np.ndarray
 
     @classmethod
-    def of(cls, images: np.ndarray) -> KeyTable:
-        keys = _row_keys(images)
-        element = np.argsort(keys, kind="stable")
-        keys = keys[element]
-        if np.any(keys[1:] == keys[:-1]):
-            raise InvariantError("two elements share their base images")
-        return cls(images, keys, element)
+    def of(
+        cls,
+        transversals: list[list[np.ndarray]],
+        base: list[int],
+        images: np.ndarray,
+        row_of_coord: np.ndarray,
+    ) -> ChainIndex:
+        """The index of a group whose components have the given level
+        transversals (arrays of rows, row 0 the identity), in base order."""
+        levels: list[IndexLevel] = []
+        for component in transversals:
+            end = len(levels) + len(component)
+            for T in component:
+                column = len(levels)
+                radix, point = len(T), base[column]
+                later = slice(column + 1, end)
+                positions = inverses = None
+                if radix > 1:
+                    positions = np.full(T.shape[1], -1, dtype=np.intp)
+                    positions[T[:, point]] = np.arange(radix)
+                    if column + 1 < end:
+                        inverses = np.argsort(T, axis=1)
+                levels.append(IndexLevel(point, radix, positions, inverses, later))
+        return cls(images, tuple(levels), row_of_coord)
 
     def find(self, images: np.ndarray, what: str) -> np.ndarray:
         """Indices of the elements with the given base images (rows along
         the last axis); raises InvariantError naming what was looked up
         when one of them is not an element of the group."""
-        probe = _row_keys(images)
-        pos = np.minimum(np.searchsorted(self.keys, probe), len(self.keys) - 1)
-        if not np.array_equal(self.keys[pos], probe):
-            raise InvariantError(f"{what} is not an element of the group")
-        return self.element[pos]
+        shape = images.shape[:-1]
+        n = prod(shape)
+        points = np.ascontiguousarray(images.reshape(n, len(self.levels)).T, dtype=np.intp)
+        coord = None
+        for level, x in zip(self.levels, points):
+            if level.positions is None:
+                if np.any(x != level.point):
+                    raise InvariantError(f"{what} is not an element of the group")
+                continue
+            row = level.positions[x]
+            if n and row.min() < 0:
+                raise InvariantError(f"{what} is not an element of the group")
+            coord = row if coord is None else coord * level.radix + row
+            if level.inverses is not None:
+                points[level.later] = level.inverses[row, points[level.later]]
+        if coord is None:  # no level moves anything: G is trivial
+            coord = np.zeros(n, dtype=np.intp)
+        return self.row_of_coord[coord].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -504,8 +605,8 @@ class ClassStructure:
     """Conjugacy classes with canonical (lexicographically least) representatives.
 
     Class 0 is the identity class; classes are sorted by representative.
-    class_id[x] is the class of G.elements()[x], and table names those
-    elements by their base images.  inverse_class[j] is the class
+    class_id[x] is the class of G.elements()[x], and index finds those
+    elements from their base images.  inverse_class[j] is the class
     containing the inverses of class j.
     """
 
@@ -514,7 +615,7 @@ class ClassStructure:
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
     order: int
-    table: KeyTable = field(repr=False)
+    index: ChainIndex = field(repr=False)
     class_id: np.ndarray = field(repr=False)
 
     def exponent(self) -> int:
@@ -527,22 +628,22 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
 
     The classes are orbits on element indices: the base images of g^-1 x g
     are g[x[g^-1[b]]], so for each generator g one gather over the columns
-    of the elements at the points g^-1[b] and one search in the group's key
-    table give conjugation by g as a map of indices.  Orbits are walked in
+    of the elements at the points g^-1[b] and one lookup in the group's
+    chain index give conjugation by g as a map of indices.  Orbits are walked in
     sorted element order, so each class is found from its least element.
     """
-    elements, table = G.elements(), G.key_table()
+    elements, index = G.elements(), G.chain_index()
     n, base = len(elements), G.base()
     inverses = [inverse(g) for g in G.generators]
     conjugations = [
-        table.find(np.array(g, dtype=POINT_DTYPE)[elements[:, [h[b] for b in base]]], "a conjugate")
+        index.find(np.array(g, dtype=POINT_DTYPE)[elements[:, [h[b] for b in base]]], "a conjugate")
         for g, h in zip(G.generators, inverses)
     ]
     class_id, rows = index_orbits(n, [c.tolist().__getitem__ for c in conjugations])
     sizes = np.bincount(class_id, minlength=len(rows)).tolist()
     reps = list(map(tuple, elements[rows].tolist()))
     inverse_images = np.array([[v[b] for b in base] for v in map(inverse, reps)], dtype=POINT_DTYPE)
-    inverse_class = tuple(class_id[table.find(inverse_images, "an inverse")].tolist())
+    inverse_class = tuple(class_id[index.find(inverse_images, "an inverse")].tolist())
     if inverse_class[0] != 0 or sum(sizes) != G.order:
         raise InvariantError("class sizes do not partition the group")
     if any(inverse_class[inverse_class[j]] != j for j in range(len(reps))):
@@ -553,6 +654,6 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
         sizes=tuple(sizes),
         inverse_class=inverse_class,
         order=G.order,
-        table=table,
+        index=index,
         class_id=class_id,
     )

@@ -14,7 +14,15 @@ from operator import itemgetter
 
 import numpy as np
 
-from .groups import MAX_POINTS, POINT_DTYPE, GroupTooLargeError, PermGroup, index_orbits, orbit
+from .groups import (
+    MAX_POINTS,
+    POINT_DTYPE,
+    GroupTooLargeError,
+    PermGroup,
+    index_orbits,
+    is_whole_group,
+    orbit,
+)
 from .numbers import InvariantError
 from .perms import (
     Perm,
@@ -45,15 +53,23 @@ def normal_closure(G: PermGroup, gens) -> PermGroup:
 
     Every generator of the closure K is conjugated by each generator of G
     once, from a list that grows while it is walked: a conjugate that lay in
-    an earlier K still lies in every larger one.
+    an earlier K still lies in every larger one.  Each K's chain stops as
+    soon as it shows |K| = |G|, and then G itself is returned.
     """
+    gens = list(gens)
+    if not all(G.contains(g) for g in gens):
+        raise ValueError("normal closure of elements outside the group")
     K = PermGroup(gens, degree=G.degree)
+    if is_whole_group(K, G):
+        return G
     todo = list(K.generators)
     for k in todo:
         for g in G.generators:
             c = conjugate(k, g)
             if not K.contains(c):
                 K = PermGroup(K.generators + (c,), degree=G.degree)
+                if is_whole_group(K, G):
+                    return G
                 todo.append(c)
     return K
 
@@ -165,7 +181,7 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
 
     The cosets xN are the orbits of G's elements under x -> x*n for the
     generators n of N.  The base images of x*n are n[x[b]], so one gather
-    and one search in G's key table give each x -> x*n as a map of element
+    and one lookup in G's chain index give each x -> x*n as a map of element
     indices.  G's sorted elements are walked in order, so each coset is
     numbered by its least member.  This enumerates G, so it needs |G|
     within ENUMERATION_CAP.  The quotient by the trivial subgroup is G
@@ -181,11 +197,10 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     index = G.order // NG.order
     if index > MAX_POINTS:
         raise ValueError(f"coset space of size {index} exceeds the {MAX_POINTS}-point cap")
-    elements, table = G.elements(), G.key_table()
-    base = list(G.base())
-    images = elements[:, base]
+    elements, chain = G.elements(), G.chain_index()
+    base, images = list(G.base()), chain.images
     by_n = [
-        table.find(np.array(n, dtype=POINT_DTYPE)[images], "a coset member").tolist().__getitem__
+        chain.find(np.array(n, dtype=POINT_DTYPE)[images], "a coset member").tolist().__getitem__
         for n in NG.generators
     ]
     coset_of, reps = index_orbits(len(elements), by_n)
@@ -194,7 +209,7 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     # the base images of a*r are r[a[b]]
     rep_rows = elements[reps]
     gens = [
-        tuple(coset_of[table.find(rep_rows[:, [a[b] for b in base]], "a product")].tolist())
+        tuple(coset_of[chain.find(rep_rows[:, [a[b] for b in base]], "a product")].tolist())
         for a in G.generators
     ]
     Q = PermGroup(gens, degree=index)

@@ -1,7 +1,9 @@
 """Shared helpers for the test suite."""
 
+from dataclasses import replace
+
 from chardeg.constructions import BuiltGroup, build, parse_group_spec
-from chardeg.groups import PermGroup
+from chardeg.groups import ChainIndex, PermGroup
 from chardeg.perms import from_cycles
 
 
@@ -19,3 +21,15 @@ def two_cycle_product() -> PermGroup:
     return PermGroup(
         [from_cycles([(0, 1, 2)], 8), from_cycles([(0, 1)], 8), from_cycles([(3, 4), (5, 6, 7)], 8)]
     )
+
+
+def drop_orbit_point(index: ChainIndex, level: int, point: int) -> ChainIndex:
+    """A copy of the index whose given level no longer knows the point as
+    part of its orbit, so that no element mapping the level's base point
+    there (after the earlier levels are divided off) is found."""
+    lv = index.levels[level]
+    positions = lv.positions.copy()
+    positions[point] = -1
+    levels = list(index.levels)
+    levels[level] = replace(lv, positions=positions)
+    return replace(index, levels=tuple(levels))

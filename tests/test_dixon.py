@@ -34,7 +34,7 @@ from chardeg.groups import PermGroup, conjugacy_classes
 from chardeg.numbers import InvariantError, is_prime
 
 from oracle import oracle_class_matrices, oracle_degrees
-from support import built_of, group_of, two_cycle_product
+from support import built_of, drop_orbit_point, group_of, two_cycle_product
 
 
 def spectrum(spec: str) -> tuple[int, ...]:
@@ -98,13 +98,12 @@ def test_class_matrices_match_oracle_structure_constants(spec):
 def test_missing_product_is_an_invariant_error():
     cs = conjugacy_classes(group_of("sym:4"))
     builder = _ClassMatrixBuilder(cs)
-    # drop the key of one element of class j: products x * 1 with x in
-    # class j, counted by the matrix of the inverse class of j, miss it
+    # drop the level-0 base image of one element x of class j from the index:
+    # the products x * 1, counted by the matrix of the inverse class of j,
+    # then no longer sift
     j = 2
-    table = cs.table
-    row = int(np.flatnonzero(cs.class_id[table.element] == j)[0])
-    keys, element = np.delete(table.keys, row), np.delete(table.element, row)
-    builder.cs = replace(cs, table=replace(table, keys=keys, element=element))
+    x = int(np.flatnonzero(cs.class_id == j)[0])
+    builder.cs = replace(cs, index=drop_orbit_point(cs.index, 0, int(cs.index.images[x, 0])))
     with pytest.raises(InvariantError, match="a product is not an element of the group"):
         builder.matrix(cs.inverse_class[j])
 

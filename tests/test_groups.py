@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from chardeg import groups
 from chardeg.constructions import build, iter_catalog
+from chardeg.dixon import _ClassMatrixBuilder
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import InvariantError
 from chardeg.perms import (
@@ -20,10 +21,12 @@ from chardeg.perms import (
     is_identity,
     mult,
     perm_order,
+    perm_power,
 )
+from chardeg.subgroups import derived_subgroup, quotient_group
 
 from oracle import oracle_classes, oracle_elements
-from support import group_of, two_cycle_product
+from support import drop_orbit_point, group_of, two_cycle_product
 
 
 def sym_gens(n):
@@ -279,33 +282,120 @@ def test_classes_match_oracle_on_every_base_path(name):
         assert inverse(r) in members[cs.inverse_class[j]]
 
 
-def drop_last_key(table):
-    return replace(table, keys=table.keys[:-1], element=table.element[:-1])
+def last_orbit_point(index, level):
+    return int(np.flatnonzero(index.levels[level].positions >= 0)[-1])
 
 
 def test_missing_conjugate_is_an_invariant_error():
-    # a key table that lost its last key after enumeration: the conjugate of
-    # that element by any generator's inverse is then looked up and not found
+    # an index whose second level lost an orbit point after enumeration:
+    # every element is a conjugate, so the lost ones are looked up and not found
     G = group_of("sym:4")
-    G._table = drop_last_key(G.key_table())
+    index = G.chain_index()
+    G._index = drop_orbit_point(index, 1, last_orbit_point(index, 1))
     with pytest.raises(InvariantError, match="a conjugate is not an element of the group"):
         conjugacy_classes(G)
 
 
 def test_missing_product_fails_the_closure_check(monkeypatch):
-    # a key table that lost its last key before the closure check: the
-    # product of some element with a generator is then not found
-    of = groups.KeyTable.of.__func__
-    drop_after = classmethod(lambda cls, images: drop_last_key(of(cls, images)))
-    monkeypatch.setattr(groups.KeyTable, "of", drop_after)
+    # an index whose first level lost an orbit point before the closure
+    # check: the product of some element with a generator is then not found
+    of = groups.ChainIndex.of.__func__
+
+    def dropping(cls, *args):
+        index = of(cls, *args)
+        return drop_orbit_point(index, 0, last_orbit_point(index, 0))
+
+    monkeypatch.setattr(groups.ChainIndex, "of", classmethod(dropping))
     with pytest.raises(InvariantError, match="a product is not an element of the group"):
         group_of("sym:4").elements()
 
 
-def test_shared_base_images_are_an_invariant_error():
-    images = np.array([[0, 1], [1, 0], [0, 1]], dtype=np.int32)
+def test_shared_base_images_are_an_invariant_error(monkeypatch):
+    # an index that records the base images of row 0 for row 1 too: the
+    # closure check reads the products themselves and passes, but row 1's
+    # recorded images then find row 0
+    of = groups.ChainIndex.of.__func__
+
+    def sharing(cls, *args):
+        index = of(cls, *args)
+        images = index.images.copy()
+        images[1] = images[0]
+        return replace(index, images=images)
+
+    monkeypatch.setattr(groups.ChainIndex, "of", classmethod(sharing))
     with pytest.raises(InvariantError, match="share their base images"):
-        groups.KeyTable.of(images)
+        group_of("sym:4").elements()
+
+
+STRUCTURE_LARGE = ["psl2:27", "psl2:25", "psl2:23", "sym:7", "alt:7", "agl1:49"]
+
+
+@pytest.mark.parametrize("name", [*BASE_PATHS, *STRUCTURE_LARGE])
+def test_index_finds_every_row_from_its_base_images(name):
+    G = BASE_PATHS[name]() if name in BASE_PATHS else group_of(name)
+    E = G.elements()
+    found = G.chain_index().find(E[:, list(G.base())], "a row")
+    assert found.tolist() == list(range(G.order))
+
+
+def test_cyclic_levels_have_closed_form_radices():
+    # <g> with g = (0 1)(2 3 4 5)(6 7 8): the stabilizer of 0 is <g^2>, on
+    # whose orbit of 2 the transversal has 2 rows, then <g^4> moves 6 in 3
+    g = from_cycles([(0, 1), (2, 3, 4, 5), (6, 7, 8)], 9)
+    (comp,) = PermGroup([g])._components
+    assert PermGroup([g]).base() == (0, 2, 6)
+    assert [len(T) for T in comp.factors()] == [2, 2, 3]
+    for T, s in zip(comp.factors(), [1, 2, 4]):
+        powers = [identity_perm(9)]
+        for _ in range(len(T) - 1):
+            powers.append(mult(powers[-1], perm_power(g, s)))
+        assert list(map(tuple, T.tolist())) == powers
+    # a cycle that the stabilizer of the earlier base points already fixes
+    (comp,) = PermGroup([from_cycles([(0, 1), (2, 3)], 4)])._components
+    assert [len(T) for T in comp.factors()] == [2, 1]
+
+
+def s4_fixing_4_and_5():
+    return PermGroup([from_cycles([(0, 1)], 6), from_cycles([(0, 1, 2, 3)], 6)])
+
+
+@pytest.mark.parametrize(
+    "group, outsider",
+    [
+        # 4 is off the orbit of the first base point 0
+        (s4_fixing_4_and_5, (4, 1, 2)),
+        # the identity at level 0, then 0 is off the orbit of 1 under S_4's stabilizer of 0
+        (s4_fixing_4_and_5, (0, 0, 2)),
+        # (0 1)(2 3): the base images of g at 0 with 2 left fixed
+        (lambda: PermGroup([from_cycles([(0, 1), (2, 3)], 4)]), (1, 2)),
+    ],
+)
+def test_non_members_are_not_found(group, outsider):
+    G = group()
+    index = G.chain_index()
+    members = index.images[:2]
+    probe = np.concatenate([members, np.array([outsider], dtype=groups.POINT_DTYPE)])
+    assert index.find(probe[:2], "a member").tolist() == [0, 1]
+    with pytest.raises(InvariantError, match="an outsider is not an element of the group"):
+        index.find(probe, "an outsider")
+    # three-dimensional probes, as the class-matrix builder makes them
+    assert index.find(np.stack([members, members[::-1]]), "a member").tolist() == [[0, 1], [1, 0]]
+    with pytest.raises(InvariantError, match="an outsider is not an element of the group"):
+        index.find(np.stack([probe, probe[::-1]]), "an outsider")
+
+
+def test_no_searchsorted_on_the_element_paths(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.searchsorted called")
+
+    monkeypatch.setattr(np, "searchsorted", refuse)
+    G = group_of("sym:4")
+    G.elements()
+    cs = conjugacy_classes(G)
+    assert quotient_group(G, derived_subgroup(G)).order == 2
+    builder = _ClassMatrixBuilder(cs)
+    for i in range(len(cs.reps)):
+        builder.matrix(i)
 
 
 def test_class_sizes_divide_order():

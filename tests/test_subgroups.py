@@ -1,14 +1,15 @@
 """Tests for subgroup operations: derived series, Sylow subgroups, quotients."""
 
+from math import prod
 from operator import itemgetter
 
 import pytest
 
-from chardeg import subgroups
+from chardeg import groups, subgroups
 from chardeg.constructions import iter_catalog
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
-from chardeg.perms import conjugate, mult
+from chardeg.perms import conjugate, from_cycles, mult
 from chardeg.subgroups import (
     derived_series,
     derived_subgroup,
@@ -237,6 +238,58 @@ def test_normal_closure():
     for x in map(tuple, K.elements().tolist()):
         for g in S4.generators:
             assert K.contains(conjugate(x, g))
+
+
+def test_normal_closure_that_is_whole_returns_the_group_itself(monkeypatch):
+    S5 = group_of("sym:5")
+    S5.elements()  # chain, elements and index built once, here
+    built = []
+    schreier_sims = groups._schreier_sims
+
+    def recording(gens, degree, stop_at=None):
+        levels = schreier_sims(gens, degree, stop_at)
+        built.append((stop_at, prod(len(lv.transversal) for lv in levels)))
+        return levels
+
+    monkeypatch.setattr(groups, "_schreier_sims", recording)
+    assert normal_closure(S5, [(1, 0, 2, 3, 4)]) is S5
+    # every chain was built towards |G|, and the last one stopped there
+    assert [stop for stop, _ in built] == [120] * len(built)
+    assert built[-1][1] == 120
+    A5 = group_of("alt:5")
+    assert derived_subgroup(A5).group is A5
+    # a proper closure keeps its complete chain
+    K = normal_closure(S5, [(1, 2, 0, 3, 4)])
+    assert K is not S5 and K.order == 60
+    assert K.elements().shape == (60, 5)
+
+
+def test_normal_closure_refuses_elements_outside_the_group():
+    A4 = group_of("alt:4")
+    with pytest.raises(ValueError, match="outside the group"):
+        normal_closure(A4, [(1, 0, 2, 3)])
+
+
+def test_partial_chain_stops_at_the_given_order(monkeypatch):
+    gens = [from_cycles([(0, 1)], 7), from_cycles([tuple(range(7))], 7)]
+    products = []
+
+    def counted(stop_at):
+        products.clear()
+        levels = groups._schreier_sims(gens, 7, stop_at)
+        return levels, len(products)
+
+    monkeypatch.setattr(groups, "mult", lambda p, q: products.append(1) or mult(p, q))
+    full, full_products = counted(None)
+    assert prod(len(lv.transversal) for lv in full) == 5040
+    partial, partial_products = counted(5040)
+    assert prod(len(lv.transversal) for lv in partial) == 5040
+    # the Schreier generators of the top level are never sifted
+    assert partial_products < full_products / 2
+    # a bound above the order is never reached, and the chain is complete
+    again, again_products = counted(5041)
+    assert [lv.transversal for lv in again] == [lv.transversal for lv in full]
+    assert again_products == full_products
 
 
 def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
