@@ -91,43 +91,86 @@ class _Level:
 
     ``transversal[x]`` maps the base point to x, and ``inverses[x]`` is its
     inverse, stored beside it (same keys) so that sifting multiplies by a
-    kept permutation rather than inverting one at every step.
+    kept permutation rather than inverting one at every step.  Entries are
+    only ever added, so an element that once sifted through the levels from
+    here on still does.  ``checked`` holds the pairs (x, id(s)) whose
+    Schreier generator u_x s u_(x s)^-1 has sifted through the deeper
+    levels (s is a residue stored here or deeper, and stays alive there).
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverses")
+    __slots__ = ("point", "gens", "transversal", "inverses", "checked")
 
     def __init__(self, point: int, identity: Perm):
         self.point = point
         self.gens: list[Perm] = []
         self.transversal: dict[int, Perm] = {point: identity}
         self.inverses: dict[int, Perm] = {point: identity}
+        self.checked: set[tuple[int, int]] = set()
 
 
-def _schreier_sims(gens: list[Perm], degree: int, stop_at: int | None = None) -> list[_Level]:
+def _chain_order(levels: list[_Level]) -> int:
+    """The product of the basic orbit lengths: the order of the group of a
+    complete chain, and at most that order for a partial one."""
+    return prod(len(lv.transversal) for lv in levels)
+
+
+def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
+    """p with the transversal elements of levels start, start+1, .. divided
+    off while they can be, and the level where that stopped (len(levels)
+    when it went through): p lies in the group of a complete chain exactly
+    when sifting it from level 0 leaves the identity."""
+    for idx in range(start, len(levels)):
+        lv = levels[idx]
+        u_inv = lv.inverses.get(p[lv.point])
+        if u_inv is None:
+            return p, idx
+        p = mult(p, u_inv)
+    return p, len(levels)
+
+
+def _schreier_sims(
+    gens: list[Perm],
+    degree: int,
+    stop_at: int | None = None,
+    levels: list[_Level] | None = None,
+) -> list[_Level]:
     """Deterministic Schreier-Sims; returns the verified stabilizer chain.
 
+    With levels, a complete chain built by an earlier call, the chain is
+    resumed in place for the group it generates together with gens: each
+    generator that does not sift is placed at the level where its sift
+    stopped, and only the levels up to the deepest such place are verified
+    again, since the levels below it and their generators are unchanged.
+
+    Verifying a level extends its orbit, keeping the transversal elements
+    it has, and tests only the Schreier generators not in its ``checked``
+    set: one that sifted still sifts, because the deeper transversals only
+    grow.  So a resumed level, or one revisited after a residue was placed
+    deeper, tests only its new points and its new generators.
+
     With stop_at, it returns early, with a partial chain, as soon as the
-    basic orbits multiply to stop_at: the orbits of a partial chain multiply
-    to at most the group's order, so the group then has at least that order.
+    basic orbits multiply to stop_at: the orbits of a partial chain, stale
+    ones of a resumed chain included, multiply to at most the group's
+    order, so the group then has at least that order.  A partial chain
+    cannot be resumed.
     """
     identity = identity_perm(degree)
-    levels: list[_Level] = []
+    if levels is None:
+        levels = []
 
     def chain_gens(idx: int) -> list[Perm]:
         # Level idx is generated by the residues stored at idx and deeper:
         # deeper residues fix this base point but can still grow its orbit.
         return [g for lv in levels[idx:] for g in lv.gens]
 
-    def rebuild_orbit(idx: int, gens_here: list[Perm]) -> list[int]:
+    def extend_orbit(idx: int, gens_here: list[Perm]) -> list[int]:
+        """The orbit of level idx under gens_here, in the order found, its
+        new points added to the transversal."""
         level = levels[idx]
-        trans = {level.point: identity}
-        invs = {level.point: identity}
+        trans, invs = level.transversal, level.inverses
         pairs = [(s, inverse(s)) for s in gens_here]
-        queue = [level.point]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
+        queue = list(trans)
+        for x in queue:
             ux, vx = trans[x], invs[x]
             for s, s_inv in pairs:
                 y = s[x]
@@ -135,18 +178,7 @@ def _schreier_sims(gens: list[Perm], degree: int, stop_at: int | None = None) ->
                     trans[y] = mult(ux, s)
                     invs[y] = mult(s_inv, vx)  # (ux s)^-1 = s^-1 ux^-1
                     queue.append(y)
-        level.transversal = trans
-        level.inverses = invs
         return queue
-
-    def sift(p: Perm, start: int) -> tuple[Perm, int]:
-        for idx in range(start, len(levels)):
-            lv = levels[idx]
-            u_inv = lv.inverses.get(p[lv.point])
-            if u_inv is None:
-                return p, idx
-            p = mult(p, u_inv)
-        return p, len(levels)
 
     def place(p: Perm, idx: int) -> int:
         """Append residue p at level idx, extending the base if needed."""
@@ -156,28 +188,33 @@ def _schreier_sims(gens: list[Perm], degree: int, stop_at: int | None = None) ->
         levels[idx].gens.append(p)
         return idx
 
+    # Verify levels bottom-up from the deepest one that gained a residue;
+    # adding a residue at level j restarts from j.
+    i = -1
     for g in gens:
-        residue, j = sift(g, 0)
+        residue, j = _sift(levels, g)
         if not is_identity(residue):
-            place(residue, j)
-
-    # Verify levels bottom-up; adding a residue at level j restarts from j.
-    i = len(levels) - 1
+            i = max(i, place(residue, j))
     while i >= 0:
         level = levels[i]
         gens_here = chain_gens(i)
-        orbit = rebuild_orbit(i, gens_here)
-        if stop_at is not None and prod(len(lv.transversal) for lv in levels) >= stop_at:
+        orbit = extend_orbit(i, gens_here)
+        if stop_at is not None and _chain_order(levels) >= stop_at:
             return levels
         restart = -1
+        checked = level.checked
         for x in orbit:
             ux = level.transversal[x]
             for s in gens_here:
+                key = (x, id(s))
+                if key in checked:
+                    continue
                 sg = mult(mult(ux, s), level.inverses[s[x]])
-                residue, j = sift(sg, i + 1)
+                residue, j = _sift(levels, sg, i + 1)
                 if not is_identity(residue):
                     restart = place(residue, j)
                     break
+                checked.add(key)
             if restart >= 0:
                 break
         i = restart if restart >= 0 else i - 1
@@ -191,13 +228,14 @@ class _Component:
     order (the order of g) is worked out once, here.
     """
 
-    __slots__ = ("gens", "support", "_levels", "_cyclic_order")
+    __slots__ = ("gens", "support", "_levels", "_cyclic_order", "_abelian")
 
     def __init__(self, gens: list[Perm], support: frozenset[int]):
         self.gens = gens
         self.support = support
         self._levels: list[_Level] | None = None
         self._cyclic_order = perm_order(gens[0]) if len(gens) == 1 else None
+        self._abelian: bool | None = None
 
     @property
     def is_cyclic_shortcut(self) -> bool:
@@ -206,10 +244,15 @@ class _Component:
     def order(self) -> int:
         if self.is_cyclic_shortcut:
             return self._cyclic_order
-        out = 1
-        for lv in self.levels():
-            out *= len(lv.transversal)
-        return out
+        return _chain_order(self.levels())
+
+    def is_abelian(self) -> bool:
+        if self._abelian is None:
+            gens = self.gens
+            self._abelian = all(
+                mult(a, b) == mult(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
+            )
+        return self._abelian
 
     def levels(self) -> list[_Level]:
         if self._levels is None:
@@ -287,14 +330,32 @@ class _Component:
                 s *= radix
         return out
 
-    def random_element(self, rng: random.Random) -> Perm:
+    def random_element(self, rng: random.Random, start: int = 0) -> Perm:
+        """A uniform random element of the stabilizer of the first start
+        base points (start = 0 for the whole component; a start above 0
+        needs a component that is not a cyclic shortcut): the product of
+        one random transversal element per level from start on."""
         if self.is_cyclic_shortcut:
             return perm_power(self.gens[0], rng.randrange(self._cyclic_order))
         out = identity_perm(len(self.gens[0]))
-        for lv in self.levels():
+        for lv in self.levels()[start:]:
             pts = sorted(lv.transversal)
             out = mult(out, lv.transversal[rng.choice(pts)])
         return out
+
+    def stabilizer_elements(self, start: int) -> np.ndarray:
+        """The elements that fix the first start base points, as POINT_DTYPE
+        rows in lexicographic order: the products of the transversals from
+        level start on (see factors), which the later base points already
+        tell apart.  In a group with this component they are the rows of
+        elements() that fix those points and the other components' base
+        points, found without listing the other rows."""
+        factors = [T for T in self.factors()[start:] if len(T) > 1]
+        order = prod(map(len, factors))
+        if order > ENUMERATION_CAP:
+            raise GroupTooLargeError(f"stabilizer of order {order} exceeds cap {ENUMERATION_CAP}")
+        width = max(self.base()[start:], default=-1) + 1
+        return _sorted_products(factors, len(self.gens[0]), width)[0]
 
 
 def _products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
@@ -416,11 +477,10 @@ class PermGroup:
         return self._order
 
     def is_abelian(self) -> bool:
+        """Generators of different components move disjoint points, so they
+        commute; G is abelian when every component is."""
         if self._abelian is None:
-            gens = self.generators
-            self._abelian = all(
-                mult(a, b) == mult(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
-            )
+            self._abelian = all(comp.is_abelian() for comp in self._components)
         return self._abelian
 
     def contains(self, p) -> bool:
@@ -487,6 +547,19 @@ class PermGroup:
             self._elements, self._index = elements, index
         return self._elements
 
+    def adopt_chain(self, levels: list[_Level]) -> None:
+        """Keep levels, a complete stabilizer chain of this group built from
+        any generating set whose elements each move the points of one
+        component only, as the chains of the components: the residues and
+        transversal elements made from such generators move the points of
+        one component too, so the levels whose base points a component
+        moves are a chain of that component."""
+        for comp in self._components:
+            if not comp.is_cyclic_shortcut:
+                comp._levels = [lv for lv in levels if lv.point in comp.support]
+        if self.order != _chain_order(levels):
+            raise InvariantError("an adopted chain does not split over the components")
+
     def chain_index(self) -> ChainIndex:
         """The chain index of elements(), built with it and kept beside it."""
         if self._index is None:
@@ -495,24 +568,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, ngens={len(self.generators)})"
-
-
-def is_whole_group(K: PermGroup, G: PermGroup) -> bool:
-    """Whether K, a subgroup of G, is all of G.
-
-    Each chain of K is built only until its basic orbits multiply to |G|:
-    those of a partial chain multiply to at most the order of its
-    component, so at most |K|, and reaching |G| means K is G; the rest of
-    the chain is never built.  A chain that stops
-    short of |G| is complete, and K keeps it.
-    """
-    for comp in K._components:
-        if not comp.is_cyclic_shortcut and comp._levels is None:
-            levels = _schreier_sims(comp.gens, K.degree, stop_at=G.order)
-            if prod(len(lv.transversal) for lv in levels) >= G.order:
-                return True
-            comp._levels = levels
-    return K.order == G.order
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter
 
 import numpy as np
@@ -19,8 +20,11 @@ from .groups import (
     POINT_DTYPE,
     GroupTooLargeError,
     PermGroup,
+    _chain_order,
+    _Component,
+    _schreier_sims,
+    _sift,
     index_orbits,
-    is_whole_group,
     orbit,
 )
 from .numbers import InvariantError
@@ -28,7 +32,8 @@ from .perms import (
     Perm,
     commutator,
     conjugate,
-    perm_order,
+    identity_perm,
+    is_identity,
     perm_power,
 )
 
@@ -51,26 +56,38 @@ def subgroup(parent: PermGroup, gens) -> SubgroupHandle:
 def normal_closure(G: PermGroup, gens) -> PermGroup:
     """Smallest normal subgroup of G containing the given elements.
 
-    Every generator of the closure K is conjugated by each generator of G
-    once, from a list that grows while it is walked: a conjugate that lay in
-    an earlier K still lies in every larger one.  Each K's chain stops as
-    soon as it shows |K| = |G|, and then G itself is returned.
+    A single element k whose conjugates by the generators of G lie in <k>
+    gives <k>, tested as a cyclic group without a chain.  Otherwise every
+    generator of the closure K is conjugated by each generator of G once,
+    from a list that grows while it is walked: a conjugate that lay in an
+    earlier K still lies in every larger one.  K has one stabilizer chain
+    (see _schreier_sims), started from the given elements and resumed for
+    each conjugate that does not sift through it.  The chain stops as soon
+    as it shows |K| = |G|, and then G itself is returned and the partial
+    chain dropped; otherwise the complete chain becomes K's.
     """
     gens = list(gens)
     if not all(G.contains(g) for g in gens):
         raise ValueError("normal closure of elements outside the group")
-    K = PermGroup(gens, degree=G.degree)
-    if is_whole_group(K, G):
+    # the generators PermGroup(gens) keeps, in its order
+    todo = list(dict.fromkeys(g for g in map(tuple, gens) if not is_identity(g)))
+    if len(todo) == 1:  # <k> is normal when its conjugates lie in it
+        K = PermGroup(todo, degree=G.degree)
+        if all(K.contains(conjugate(todo[0], g)) for g in G.generators):
+            return G if K.order == G.order else K
+    levels = _schreier_sims(todo, G.degree, stop_at=G.order)
+    if _chain_order(levels) >= G.order:
         return G
-    todo = list(K.generators)
     for k in todo:
         for g in G.generators:
             c = conjugate(k, g)
-            if not K.contains(c):
-                K = PermGroup(K.generators + (c,), degree=G.degree)
-                if is_whole_group(K, G):
+            if not is_identity(_sift(levels, c)[0]):
+                _schreier_sims([c], G.degree, stop_at=G.order, levels=levels)
+                if _chain_order(levels) >= G.order:
                     return G
                 todo.append(c)
+    K = PermGroup(todo, degree=G.degree)
+    K.adopt_chain(levels)
     return K
 
 
@@ -106,53 +123,74 @@ def _p_parts(n: int, p: int) -> tuple[int, int]:
 
 
 def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
-    """A Sylow p-subgroup of G.
-
-    Abelian groups take p'-th powers of the generators.  Otherwise the
-    p-parts of candidate elements are adjoined greedily, keeping the closure
-    a p-group; the candidates are seeded random samples and then, if needed,
-    the sorted element list.
-    """
+    """A Sylow p-subgroup of G: the product of one Sylow p-subgroup of each
+    component of G, since the components commute and move disjoint points
+    (see _component_sylow)."""
     pp, _ = _p_parts(G.order, p)
     if pp == 1:
         return SubgroupHandle(PermGroup([], degree=G.degree), G)
     if pp == G.order:
         return SubgroupHandle(G, G)
+    gens = [x for comp in G._components for x in _component_sylow(comp, p, seed)]
+    P = PermGroup(gens, degree=G.degree)
+    if P.order != pp:
+        raise InvariantError(f"Sylow {p}-subgroup has order {P.order}, not {pp}")
+    return SubgroupHandle(P, G)
 
-    def p_part(g: Perm) -> Perm:
-        return perm_power(g, _p_parts(perm_order(g), p)[1])
 
-    if G.is_abelian():
-        H = PermGroup([p_part(g) for g in G.generators], degree=G.degree)
-        if H.order != pp:
-            raise InvariantError(f"abelian Sylow {p}-subgroup has order {H.order}, not {pp}")
-        return SubgroupHandle(H, G)
+def _component_sylow(C: _Component, p: int, seed: int) -> list[Perm]:
+    """Generators of a Sylow p-subgroup of one component C of a group.
 
-    def candidates():
-        rng = random.Random(seed)
-        for _ in range(_SYLOW_RANDOM_TRIES):
-            yield G.random_element(rng)
-        # lazy: G is enumerated only if sampling falls short, and its rows
-        # become tuples one at a time
-        yield from (tuple(row.tolist()) for row in G.elements())
-
+    An abelian C (a cyclic shortcut included) gives the m-th powers of its
+    generators, m the p'-part of |C|.  Otherwise the search runs inside
+    C^(j), the stabilizer of the first j base points of C's chain, j the
+    first level whose basic orbit has length divisible by p: the index of
+    C^(j), the product of the earlier orbit lengths, is prime to p, so
+    C^(j) holds a Sylow p-subgroup of C.  The p-parts of the candidates of
+    _stabilizer_candidates (their m-th powers, m the p'-part of |C^(j)|)
+    are adjoined greedily, keeping the closure a p-group; a full scan
+    of C^(j) reaches a whole Sylow p-subgroup.
+    """
+    order = C.order()
+    pp, m = _p_parts(order, p)
+    if pp == 1:
+        return []
+    if pp == order:
+        return list(C.gens)
+    if C.is_abelian():
+        return [perm_power(g, m) for g in C.gens]
+    lengths = [len(lv.transversal) for lv in C.levels()]
+    start = next(i for i, n in enumerate(lengths) if n % p == 0)
+    m = _p_parts(prod(lengths[start:]), p)[1]
+    identity = identity_perm(len(C.gens[0]))
     gens: list[Perm] = []
-    closure: set[Perm] = {G.identity}
-    for g in candidates():
-        x = p_part(g)
+    closure: set[Perm] = {identity}
+    for g in _stabilizer_candidates(C, start, seed):
+        x = perm_power(g, m)
         if x in closure:
             continue
         grown: set[Perm] = set()
         try:
-            orbit(G.identity, [itemgetter(*h) for h in gens + [x]], grown, limit=pp)
+            orbit(identity, [itemgetter(*h) for h in gens + [x]], grown, limit=pp)
         except GroupTooLargeError:  # larger than the p-part: not a p-group
             continue
         if pp % len(grown) == 0:
             gens.append(x)
             closure = grown
             if len(closure) == pp:
-                return SubgroupHandle(PermGroup(gens, degree=G.degree), G)
+                return gens
     raise InvariantError("Sylow search failed to reach the full p-part")
+
+
+def _stabilizer_candidates(C: _Component, start: int, seed: int):
+    """Elements of the stabilizer of the first start base points of C:
+    seeded random ones, then, if the search needs more, every element in
+    sorted order, built lazily from the stabilizer's own transversals (no
+    element of the rest of the group is listed)."""
+    rng = random.Random(seed)
+    for _ in range(_SYLOW_RANDOM_TRIES):
+        yield C.random_element(rng, start)
+    yield from (tuple(row.tolist()) for row in C.stabilizer_elements(start))
 
 
 def is_normal(G: PermGroup, H: SubgroupHandle) -> bool:

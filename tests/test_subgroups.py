@@ -1,15 +1,18 @@
 """Tests for subgroup operations: derived series, Sylow subgroups, quotients."""
 
+import random
 from math import prod
 from operator import itemgetter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chardeg import groups, subgroups
+from chardeg import constructions, groups, subgroups
 from chardeg.constructions import iter_catalog
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
-from chardeg.perms import conjugate, from_cycles, mult
+from chardeg.perms import commutator, conjugate, from_cycles, is_identity, mult, perm_order
 from chardeg.subgroups import (
     derived_series,
     derived_subgroup,
@@ -130,6 +133,109 @@ def test_sylow_sorted_scan_alone_reaches_the_full_p_part(spec, monkeypatch):
         assert sylow(G, p).group.order == p ** factorize(G.order).count(p)
 
 
+@pytest.mark.parametrize(
+    "spec, p", [("psl2:27", 3), ("psl2:25", 5), ("sym:7", 3), ("agl1:49", 2)]
+)
+@pytest.mark.parametrize("tries", [subgroups._SYLOW_RANDOM_TRIES, 0])
+def test_sylow_searches_inside_the_stabilizer_of_p_prime_index(spec, p, tries, monkeypatch):
+    monkeypatch.setattr(subgroups, "_SYLOW_RANDOM_TRIES", tries)
+    G = group_of(spec)
+    (C,) = G._components
+    drawn = []
+    stabilizer_candidates = subgroups._stabilizer_candidates
+
+    def recording(comp, start, seed):
+        for g in stabilizer_candidates(comp, start, seed):
+            drawn.append((comp.base()[:start], g))
+            yield g
+
+    monkeypatch.setattr(subgroups, "_stabilizer_candidates", recording)
+    pp = p ** factorize(G.order).count(p)
+    assert sylow(G, p).group.order == pp
+    skipped = drawn[0][0]
+    lengths = [len(lv.transversal) for lv in C.levels()]
+    # every earlier orbit length is prime to p, so the index is too
+    assert skipped and all(n % p for n in lengths[: len(skipped)])
+    assert lengths[len(skipped)] % p == 0
+    assert all(fixed == skipped for fixed, _ in drawn)
+    assert all(g[b] == b for _, g in drawn for b in skipped)
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "psl2:7", "agl1:9", "sym:3xsym:3"])
+def test_stabilizer_elements_are_the_sorted_rows_that_fix_the_earlier_base_points(spec):
+    G = group_of(spec)
+    C = G._components[0]
+    base = C.base()
+    for start in range(len(base) + 1):
+        rows = C.stabilizer_elements(start)
+        elements = G.elements()
+        # the rows of G that fix the skipped points and the other components
+        fixed = [b for b in G.base() if b not in base[start:]]
+        expected = elements[(elements[:, fixed] == fixed).all(axis=1)]
+        assert np.array_equal(rows, expected), (spec, start)
+
+
+@pytest.mark.parametrize("spec", ["sym:4xcyclic:6", "sym:3xsym:3", "extraspecial:3xcyclic:3"])
+def test_sylow_of_a_product_takes_one_sylow_subgroup_per_component(spec, monkeypatch):
+    G = group_of(spec)
+    assert len(G._components) > 1
+    calls = []
+    component_sylow = subgroups._component_sylow
+
+    def recording(comp, p, seed):
+        gens = component_sylow(comp, p, seed)
+        calls.append((comp, p, gens))
+        return gens
+
+    monkeypatch.setattr(subgroups, "_component_sylow", recording)
+    for p in prime_divisors(G.order):
+        calls.clear()
+        pp = p ** factorize(G.order).count(p)
+        P = sylow(G, p).group
+        assert P.order == pp
+        if pp == G.order:
+            assert P is G and calls == []
+            continue
+        assert [comp for comp, *_ in calls] == G._components
+        for comp, _, gens in calls:
+            comp_pp = p ** factorize(comp.order()).count(p)
+            assert all(i in comp.support for g in gens for i, j in enumerate(g) if i != j)
+            part = PermGroup(gens, degree=G.degree).order if gens else 1
+            assert part == comp_pp
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sylow_of_psl2_64_does_not_enumerate_the_group(seed, monkeypatch):
+    monkeypatch.setattr(constructions, "PSL2_SUPPORTED", constructions.PSL2_SUPPORTED | {64})
+    G = constructions.psl2(64)
+    assert G.order == 262_080 > groups.ENUMERATION_CAP
+    monkeypatch.setattr(PermGroup, "elements", lambda self: pytest.fail("G was enumerated"))
+    P = sylow(G, 2, seed=seed).group
+    assert P.order == 64
+    assert all(G.contains(g) for g in P.generators)
+
+
+def test_sylow_normality_matches_the_p_power_classes():
+    """The Sylow p-subgroup is normal exactly when it is the set of
+    p-elements, that is when the classes of p-power order make up |G|_p."""
+    checked = 0
+    for r in iter_catalog(200):
+        G = group_of(r.spec)
+        if G.is_abelian():
+            continue
+        classes = conjugacy_classes(G)
+        for p in prime_divisors(G.order):
+            pp = p ** factorize(G.order).count(p)
+            p_elements = sum(
+                size
+                for rep, size in zip(classes.reps, classes.sizes)
+                if pp % perm_order(rep) == 0
+            )
+            assert is_normal(G, sylow(G, p)) == (p_elements == pp), (r.spec, p)
+            checked += 1
+    assert checked > 100
+
+
 def test_is_normal():
     A4 = group_of("frob:2:2:3")
     V = derived_subgroup(A4)
@@ -240,22 +346,34 @@ def test_normal_closure():
             assert K.contains(conjugate(x, g))
 
 
-def test_normal_closure_that_is_whole_returns_the_group_itself(monkeypatch):
-    S5 = group_of("sym:5")
-    S5.elements()  # chain, elements and index built once, here
+def record_chains(monkeypatch) -> list:
+    """Record (stop_at, orbit product, whether the call started a chain,
+    the levels) for every _schreier_sims call, in either module."""
     built = []
     schreier_sims = groups._schreier_sims
 
-    def recording(gens, degree, stop_at=None):
-        levels = schreier_sims(gens, degree, stop_at)
-        built.append((stop_at, prod(len(lv.transversal) for lv in levels)))
+    def recording(gens, degree, stop_at=None, levels=None):
+        started = levels is None
+        levels = schreier_sims(gens, degree, stop_at, levels)
+        built.append((stop_at, prod(len(lv.transversal) for lv in levels), started, levels))
         return levels
 
     monkeypatch.setattr(groups, "_schreier_sims", recording)
+    monkeypatch.setattr(subgroups, "_schreier_sims", recording)
+    return built
+
+
+def test_normal_closure_that_is_whole_returns_the_group_itself(monkeypatch):
+    S5 = group_of("sym:5")
+    S5.elements()  # chain, elements and index built once, here
+    built = record_chains(monkeypatch)
     assert normal_closure(S5, [(1, 0, 2, 3, 4)]) is S5
     # every chain was built towards |G|, and the last one stopped there
-    assert [stop for stop, _ in built] == [120] * len(built)
+    assert [stop for stop, *_ in built] == [120] * len(built)
     assert built[-1][1] == 120
+    # one chain was started, and every later call resumed it
+    assert [started for _, _, started, _ in built] == [True] + [False] * (len(built) - 1)
+    assert all(levels is built[0][3] for *_, levels in built)
     A5 = group_of("alt:5")
     assert derived_subgroup(A5).group is A5
     # a proper closure keeps its complete chain
@@ -275,8 +393,10 @@ def test_partial_chain_stops_at_the_given_order(monkeypatch):
     products = []
 
     def counted(stop_at):
+        # the chain of <(0 1)>, resumed with the 7-cycle
+        levels = groups._schreier_sims(gens[:1], 7)
         products.clear()
-        levels = groups._schreier_sims(gens, 7, stop_at)
+        assert groups._schreier_sims(gens[1:], 7, stop_at, levels) is levels
         return levels, len(products)
 
     monkeypatch.setattr(groups, "mult", lambda p, q: products.append(1) or mult(p, q))
@@ -292,6 +412,104 @@ def test_partial_chain_stops_at_the_given_order(monkeypatch):
     assert again_products == full_products
 
 
+def test_resumed_chain_matches_a_chain_built_from_scratch():
+    S6 = group_of("sym:6")
+    gens = [from_cycles([(0, 1)], 6), from_cycles([(0, 1, 2)], 6), from_cycles([(2, 3, 4, 5)], 6)]
+    levels = groups._schreier_sims(gens[:1], 6)
+    for g in gens[1:]:
+        groups._schreier_sims([g], 6, levels=levels)
+    assert groups._chain_order(levels) == PermGroup(gens).order == 720
+    for x in map(tuple, S6.elements().tolist()):
+        assert is_identity(groups._sift(levels, x)[0])
+    # an element already in the group leaves the chain as it was
+    before = [dict(lv.transversal) for lv in levels]
+    groups._schreier_sims([S6.generators[0]], 6, levels=levels)
+    assert [lv.transversal for lv in levels] == before
+
+
+def test_each_schreier_generator_is_tested_until_it_sifts_and_then_never_again(monkeypatch):
+    tests = []
+    sift = groups._sift
+
+    def counting(levels, p, start=0):
+        if start > 0:  # only Schreier generators are sifted from below the top
+            tests.append(p)
+        return sift(levels, p, start)
+
+    monkeypatch.setattr(groups, "_sift", counting)
+    gens = [from_cycles([(0, 1)], 7), from_cycles([tuple(range(7))], 7)]
+    levels = groups._schreier_sims(gens[:1], 7)
+    for g in [from_cycles([(1, 2)], 7), from_cycles([(5, 6)], 7), gens[1]]:
+        groups._schreier_sims([g], 7, levels=levels)
+    assert groups._chain_order(levels) == 5040
+    placed = sum(len(lv.gens) for lv in levels)
+    pairs = sum(
+        len(lv.transversal) * sum(len(deeper.gens) for deeper in levels[i:])
+        for i, lv in enumerate(levels)
+    )
+    assert sum(len(lv.checked) for lv in levels) == pairs
+    # every pair passes once, and a test fails only where a residue was placed
+    assert len(tests) <= pairs + placed
+
+
+def closure_cases(bound: int):
+    """(G, element) for every class representative of every nonabelian
+    group of iter_catalog(bound)."""
+    for r in iter_catalog(bound):
+        G = group_of(r.spec)
+        if not G.is_abelian():
+            for rep in conjugacy_classes(G).reps:
+                yield G, rep
+
+
+def test_each_normal_closure_starts_at_most_one_chain_and_then_extends_it(monkeypatch):
+    cases = list(closure_cases(60))
+    for G, _ in cases:
+        G.order  # the groups' own chains, built before counting
+    built = record_chains(monkeypatch)
+    for G, rep in cases:
+        built.clear()
+        K = normal_closure(G, [rep])
+        started = [s for _, _, s, _ in built]
+        assert started in ([], [True] + [False] * (len(started) - 1)), (G, rep)
+        if built:  # else <rep> was normal, and no chain was needed
+            assert all(levels is built[0][3] for *_, levels in built)
+            assert K is G or K.order == prod(len(lv.transversal) for lv in built[0][3])
+
+
+def test_a_chain_stopped_at_the_group_order_is_never_kept(monkeypatch):
+    built = record_chains(monkeypatch)
+    stopped = 0
+    for G, rep in closure_cases(60):
+        G.order
+        built.clear()
+        K = normal_closure(G, [rep])
+        kept = [comp._levels for H in (G, K) for comp in H._components]
+        for stop, n, _, levels in built:
+            if n >= stop:
+                stopped += 1
+                assert K is G and all(levels is not chain for chain in kept)
+        if K is not G and built:  # a proper closure keeps its complete chain
+            assert K.order == prod(len(lv.transversal) for lv in built[-1][3]) < G.order
+    assert stopped
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    st.lists(st.permutations(range(6)).map(tuple), min_size=1, max_size=3),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_normal_closure_order_matches_a_chain_built_from_scratch(gens, seed):
+    G = PermGroup(gens, degree=6)
+    rng = random.Random(seed)
+    x = G.random_element(rng)
+    for elements in ([x], [commutator(x, G.random_element(rng))], list(G.generators[1:])):
+        K = normal_closure(G, elements)
+        assert K.order == PermGroup(K.generators, degree=6).order
+        assert all(K.contains(e) for e in elements)
+        assert K.elements().shape == (K.order, 6)  # the adopted chain lists K
+
+
 def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
     groups = {r.spec: group_of(r.spec) for r in iter_catalog(60)}
     nonabelian = {spec: G for spec, G in groups.items() if not G.is_abelian()}
@@ -302,7 +520,10 @@ def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
             elements = map(tuple, G.elements().tolist())
             members = [x for x, c in zip(elements, classes.class_id) if c == j]
             brute = orbit(G.identity, [itemgetter(*x) for x in members])
-            assert normal_closure(G, [r]).order == len(brute), (spec, r)
+            K = normal_closure(G, [r])
+            assert K.order == len(brute), (spec, r)
+            # the closure's own chain against one built from scratch
+            assert K.order == PermGroup(K.generators, degree=G.degree).order, (spec, r)
 
 
 def test_normalizer():
