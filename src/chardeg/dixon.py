@@ -8,21 +8,21 @@ central characters, and each degree is recovered from its square modulo l
 and lifted to the unique integer below l/2.
 
 The common eigenspaces are found by splitting invariant subspaces class by
-class (Dixon 1967, Schneider 1990).  Since l does not divide |G|, each class
-matrix restricted to a subspace is diagonalisable, so a subspace it cannot
-split is exactly one where it acts as a scalar.  Every open subspace is
-spanned by central characters w with w[0] = 1, so its reduced echelon basis
-B pivots first on column 0, and class i acts on it as the scalar B[0, i]
-exactly when B[1:, i] is zero.  A class whose column is zero below the
-first row of every open subspace splits nothing, and its matrix is never
-built.  Otherwise, with m the product of (x - lam) over the distinct
-eigenvalues and h_lam = m / (x - lam), the row v h_lam(R) lies in the
-lam-eigenspace for every v, so one Krylov sequence of v and one matrix
-product give the eigenrow of every simple eigenvalue.  Repeated
-eigenvalues, and simple ones whose component in v vanishes, take their
-eigenspace from a kernel computation instead.  The eigenvalues are the
-points of F_l where the characteristic polynomial vanishes, found by one
-Horner evaluation over all of F_l: l times the degree multiply-adds.
+class (Dixon 1967, Schneider 1990).  Every open subspace is spanned by
+central characters w with w[0] = 1, so its reduced echelon basis B pivots
+first on column 0, and class i acts on it as the scalar B[0, i] exactly
+when B[1:, i] is zero; a class whose column is zero there in every open
+subspace splits nothing, and its matrix is never built.  Each subspace
+carries its identity component: by column orthogonality e_0 is the sum of
+(chi(1)^2/|G|) w_chi, every coefficient a unit mod l, so its part z in a
+subspace meets every eigenvalue of each class matrix R there.  The Krylov
+rows z, zR, zR^2, .. up to their first dependency give the minimal
+polynomial f of R there, whose deg f distinct roots in F_l (one Horner
+evaluation over all of F_l) are the eigenvalues.  With h = f/(x - lam),
+z h(R)/f'(lam) is the identity component of the lam-eigenspace, spanning
+it with u h(R) for the unit rows u outside the Krylov span: no
+characteristic polynomial, no kernel.  A final line's identity component
+is chi(1)^2/|G| times its row, and so cross-checks the degree lift.
 
 All linear algebra is dense numpy arithmetic on int64 arrays mod l, so
 repeated runs agree exactly.  The solver's invariants raise InvariantError,
@@ -90,7 +90,8 @@ def _distinct_roots(c: np.ndarray, ell: int) -> list[int]:
 
 
 def _rref(M: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form mod l; returns nonzero rows and pivot columns."""
+    """Reduced row echelon form mod l; returns nonzero rows and pivot columns.
+    The column scan stops as soon as the rows left to reduce are zero."""
     A = M.copy() % ell
     rows, cols = A.shape
     pivots: list[int] = []
@@ -100,6 +101,8 @@ def _rref(M: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
             break
         nz = np.nonzero(A[r:, c])[0]
         if len(nz) == 0:
+            if not A[r:].any():
+                break
             continue
         p = r + int(nz[0])
         if p != r:
@@ -114,113 +117,104 @@ def _rref(M: np.ndarray, ell: int) -> tuple[np.ndarray, list[int]]:
     return A[:r], pivots
 
 
-def _nullspace(M: np.ndarray, ell: int) -> np.ndarray:
-    """Rows spanning the kernel {x : M x = 0} of M over F_l."""
-    R, pivots = _rref(M, ell)
-    n = M.shape[1]
-    free = np.delete(np.arange(n), pivots)
-    basis = np.zeros((len(free), n), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-R[:, free].T) % ell
-    return basis
+_Block = tuple[np.ndarray, list[int], np.ndarray]
 
 
-def _charpoly(R: np.ndarray, ell: int) -> np.ndarray:
-    """Characteristic polynomial of R mod l, ascending coefficients, monic."""
-    H = R.copy() % ell
-    n = H.shape[0]
-    for j in range(n - 2):
-        col = H[j + 1 :, j]
-        nz = np.nonzero(col)[0]
+def _krylov(z: np.ndarray, R: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The Krylov rows z R^j, j = 0..r, where z R^r is the first to depend
+    on those before it; the monic f of degree r (ascending coefficients)
+    with z f(R) = 0; and r coordinates on which the first r rows are
+    independent.  The rows are the columns of A, eliminated until one has no
+    pivot: its pivot-row entries are then its coefficients over the others.
+    Only pivot rows and multipliers are reduced mod l, and the rest stays
+    below dim l^2."""
+    dim = len(z)
+    K = np.empty((dim + 1, dim), dtype=np.int64)
+    K[0] = z
+    for j in range(dim):
+        K[j + 1] = K[j] @ R % ell
+    A = K.T.copy()
+    free = np.ones(dim, dtype=bool)
+    rows: list[int] = []
+    for j in range(dim + 1):
+        c = A[:, j] % ell
+        nz = (c * free).nonzero()[0]
         if len(nz) == 0:
-            continue
-        p = j + 1 + int(nz[0])
-        if p != j + 1:
-            H[[j + 1, p]] = H[[p, j + 1]]
-            H[:, [j + 1, p]] = H[:, [p, j + 1]]
-        ipiv = pow(int(H[j + 1, j]), -1, ell)
-        factors = H[j + 2 :, j] * ipiv % ell
-        if np.any(factors):
-            H[j + 2 :, :] = (H[j + 2 :, :] - np.outer(factors, H[j + 1, :])) % ell
-            H[:, j + 1] = (H[:, j + 1] + H[:, j + 2 :] @ factors) % ell
-    polys = [np.array([1], dtype=np.int64)]
-    for m in range(1, n + 1):
-        prev = polys[m - 1]
-        p = np.zeros(m + 1, dtype=np.int64)
-        p[1:] += prev
-        p[:-1] -= int(H[m - 1, m - 1]) * prev
-        beta = 1
-        for t in range(m - 1, 0, -1):
-            beta = beta * int(H[t, t - 1]) % ell
-            coeff = int(H[t - 1, m - 1]) * beta % ell
-            if coeff:
-                p[:t] -= coeff * polys[t - 1]
-        polys.append(p % ell)
-    return polys[n]
+            break
+        p = int(nz[0])
+        row = A[p, j + 1 :] % ell * pow(int(c[p]), -1, ell) % ell
+        c[p] = 0
+        A[:, j + 1 :] -= c[:, None] * row
+        A[p, j + 1 :] = row
+        rows.append(p)
+        free[p] = False
+    f = np.append(-A[rows, len(rows)] % ell, 1)
+    return K[: len(f)], f, rows
 
 
-def _eigenrows(R: np.ndarray, roots: list[int], ell: int) -> np.ndarray:
-    """Row t is v h_t(R) for the all-ones row v, where h_t is the product of
-    (x - lam) over the roots other than roots[t].
-
-    For diagonalisable R whose eigenvalues are exactly the roots, row t lies
-    in the roots[t]-eigenrow space; it is zero when v has no component there.
-    """
-    r, dim = len(roots), R.shape[0]
-    lam = np.array(roots, dtype=np.int64)
-    m = np.array([1], dtype=np.int64)
-    for x in roots:
-        m = np.convolve(m, [-x, 1]) % ell
-    # h_t = m / (x - lam_t) by synthetic division, for all t at once
-    H = np.empty((r, r), dtype=np.int64)
-    H[:, r - 1] = 1
+def _projectors(f: np.ndarray, lam: np.ndarray, ell: int) -> np.ndarray:
+    """Row t: ascending coefficients of h_t / h_t(lam_t), h_t = f / (x - lam_t),
+    for the distinct roots lam of f, so h_t(lam_t) = f'(lam_t) is nonzero.
+    If f is the minimal polynomial of R, this polynomial in R projects onto
+    the lam_t eigenspace."""
+    r = len(lam)
+    H = np.ones((r, r), dtype=np.int64)
     for j in range(r - 1, 0, -1):
-        H[:, j - 1] = (m[j] + lam * H[:, j]) % ell
-    K = np.empty((r, dim), dtype=np.int64)
-    K[0] = 1
-    for j in range(1, r):
-        K[j] = K[j - 1] @ R % ell
-    return H @ K % ell
+        H[:, j - 1] = (f[j] + lam * H[:, j]) % ell
+    slope = _polyval(f[1:] * np.arange(1, r + 1, dtype=np.int64), lam, ell)
+    return H * np.array([pow(int(s), -1, ell) for s in slope], dtype=np.int64)[:, None] % ell
 
 
 def _split(
-    B: np.ndarray, pivots: list[int], R: np.ndarray, ell: int
-) -> list[tuple[np.ndarray, list[int]]]:
-    """Split the space with echelon basis B into the eigenspaces of the
-    coefficient action c -> c R, each in reduced echelon form.
-
-    R must be diagonalisable, which holds for class matrices because l does
-    not divide |G|: a scalar R keeps the space whole, and a non-scalar R
-    with a single eigenvalue is an error.
-    """
+    B: np.ndarray, pivots: list[int], z: np.ndarray, R: np.ndarray, ell: int
+) -> list[_Block]:
+    """Split the block with echelon basis B and identity component z, in
+    block coordinates, into the eigenspaces of c -> c R in ascending
+    eigenvalue order, each in reduced echelon form with its identity
+    component.  R must be diagonalisable and z must meet each of its
+    eigenvalues, as for class matrices since l does not divide |G|;
+    otherwise an InvariantError is raised."""
     dim = R.shape[0]
     if np.array_equal(R, R[0, 0] * np.eye(dim, dtype=np.int64)):
-        return [(B, pivots)]
-    charpoly = _charpoly(R, ell)
-    roots = _distinct_roots(charpoly, ell)
-    if len(roots) == 1:
-        raise InvariantError("non-scalar class matrix with a single eigenvalue")
-    U = _eigenrows(R, roots, ell)
-    lam = np.array(roots, dtype=np.int64)
-    if not np.array_equal(U @ R % ell, lam[:, None] * U % ell):
-        raise InvariantError("projected row is not an eigenrow")
-    slope = _polyval(charpoly[1:] * np.arange(1, len(charpoly), dtype=np.int64), lam, ell)
-    spaces: list[tuple[np.ndarray, list[int]]] = []
-    total = 0
-    for t, x in enumerate(roots):
-        if slope[t] and U[t].any():
-            # a simple root: its eigenrow space is the line through U[t]
-            w = U[t] @ B % ell
-            p = int(np.flatnonzero(w)[0])
-            spaces.append(((w * pow(int(w[p]), -1, ell) % ell)[None, :], [p]))
-            total += 1
+        return [(B, pivots, z)]
+    K, f, coords = _krylov(z, R, ell)
+    r = len(f) - 1
+    lam = np.array(_distinct_roots(f, ell), dtype=np.int64)
+    if len(lam) != r:
+        raise InvariantError("minimal polynomial of the identity component has no distinct roots")
+    H = _projectors(f, lam, ell)
+    Z = H @ K[:r] % ell
+    if not ((Z @ R % ell == lam[:, None] * Z % ell).all() and (Z.sum(axis=0) % ell == z).all()):
+        raise InvariantError("projected identity components are not eigenrows summing to z")
+    # scale each projection to 1 at its first nonzero entry, its pivot
+    lead = (Z != 0).argmax(axis=1)
+    first = Z[np.arange(r), lead]
+    Zn = Z * np.array([pow(int(x), -1, ell) for x in first], dtype=np.int64)[:, None] % ell
+    # the unit rows outside the Krylov span complete it to the whole block:
+    # their projections, less their multiples of Zn[t], fill out eigenspace t
+    units = np.delete(np.arange(dim), coords)
+    wide = [False] * r
+    if len(units):
+        powers = [np.eye(dim, dtype=np.int64)[units]]
+        for _ in range(r):
+            powers.append(powers[-1] @ R % ell)
+        S = np.stack(powers).reshape(r + 1, -1)
+        if (f @ S % ell).any():
+            raise InvariantError("identity component misses part of the spectrum")
+        rest = (H @ S[:r] % ell).reshape(r, len(units), dim)
+        rest = (rest - rest[np.arange(r), :, lead][:, :, None] * Zn[:, None, :]) % ell
+        wide = rest.reshape(r, -1).any(axis=1).tolist()
+    # C reduced echelon in block coordinates, pivots q, makes C B reduced
+    # echelon with pivots pivots[q], since B is reduced echelon
+    lines = Zn @ B % ell
+    spaces: list[_Block] = []
+    for t, p in enumerate(np.asarray(pivots)[lead].tolist()):
+        if wide[t]:
+            C, q = _rref(np.vstack([Zn[t : t + 1], rest[t]]), ell)
+            spaces.append((C @ B % ell, [pivots[j] for j in q], first[t] * Zn[t, q] % ell))
         else:
-            # coefficient rows transform as c -> c R, so eigenrows for x
-            # form the kernel of (R - x I) transposed
-            K = _nullspace((R - x * np.eye(dim, dtype=np.int64)).T % ell, ell)
-            total += K.shape[0]
-            spaces.append(_rref(K @ B % ell, ell))
-    if total != dim:
+            spaces.append((lines[t : t + 1], [p], first[t : t + 1]))
+    if sum(len(pt) for _, pt, _ in spaces) != dim:
         raise InvariantError("eigenspaces do not fill the space")
     return spaces
 
@@ -250,15 +244,16 @@ class _ClassMatrixBuilder:
         return np.bincount(self.cs.class_id[products] * k + column, minlength=k * k).reshape(k, k)
 
 
-def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, list[int]]]:
+def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[_Block]:
     """The lines spanned by the central characters mod l, each in reduced
-    echelon form, found by intersecting eigenspaces class by class."""
+    echelon form with its identity component, found by intersecting
+    eigenspaces class by class from the whole space and e_0."""
     k = len(cs.reps)
     builder = _ClassMatrixBuilder(cs)
-    spaces: list[tuple[np.ndarray, list[int]]] = [(np.eye(k, dtype=np.int64), list(range(k)))]
-    class_order = sorted(range(1, k), key=lambda i: (cs.sizes[i], i))
-    for i in class_order:
-        open_blocks = [(B, pivots) for B, pivots in spaces if B.shape[0] > 1]
+    eye = np.eye(k, dtype=np.int64)
+    spaces: list[_Block] = [(eye, list(range(k)), eye[0])]
+    for i in sorted(range(1, k), key=lambda i: (cs.sizes[i], i)):
+        open_blocks = [(B, pivots) for B, pivots, _ in spaces if B.shape[0] > 1]
         if not open_blocks:
             break
         if any(pivots[0] != 0 for _, pivots in open_blocks):
@@ -266,10 +261,10 @@ def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, 
         if not any(B[1:, i].any() for B, _ in open_blocks):
             continue
         At = builder.matrix(i).T % ell
-        next_spaces: list[tuple[np.ndarray, list[int]]] = []
-        for B, pivots in spaces:
+        next_spaces: list[_Block] = []
+        for B, pivots, z in spaces:
             if B.shape[0] == 1:
-                next_spaces.append((B, pivots))
+                next_spaces.append((B, pivots, z))
                 continue
             W = B @ At % ell
             R = W[:, pivots]
@@ -279,9 +274,9 @@ def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[tuple[np.ndarray, 
                 # class i must act on this block as the scalar B[0, i]
                 if not np.array_equal(R, B[0, i] * np.eye(len(pivots), dtype=np.int64)):
                     raise InvariantError("class is not the scalar its column predicts")
-            next_spaces.extend(_split(B, pivots, R, ell))
+            next_spaces.extend(_split(B, pivots, z, R, ell))
         spaces = next_spaces
-    if any(B.shape[0] != 1 for B, _ in spaces):
+    if any(B.shape[0] != 1 for B, _, _ in spaces):
         raise InvariantError("splitting incomplete")
     return spaces
 
@@ -296,19 +291,22 @@ def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
         return DegreeSpectrum((1,), 1)
     ell = choose_modulus(order, cs.exponent(), min_value=k)
     spaces = _common_eigenspaces(cs, ell)
-    V = np.array([B[0] for B, _ in spaces], dtype=np.int64)
-    if not V[:, 0].all():
+    # normalised central characters, one row per space: a reduced echelon
+    # line is 1 at its first nonzero entry
+    omega = np.array([B[0] for B, _, _ in spaces], dtype=np.int64)
+    if not (omega[:, 0] == 1).all():
         raise InvariantError("central character vanishes on the identity class")
-    # normalised central characters, one row per space
-    omega = V * np.array([pow(int(v), -1, ell) for v in V[:, 0]], dtype=np.int64)[:, None] % ell
     inv_sizes = np.array([pow(h, -1, ell) for h in cs.sizes], dtype=np.int64)
     # reduce before summing, so every term stays below l and the sum below k l^2
     sums = (omega * omega[:, list(cs.inverse_class)] % ell) @ inv_sizes % ell
+    # a line's identity component is chi(1)^2/|G| times its row, and its sum
+    # is |G|/chi(1)^2
+    if any(int(z[0]) * s % ell != 1 for (_, _, z), s in zip(spaces, sums.tolist())):
+        raise InvariantError("identity component disagrees with the degree lift")
     degrees = []
     bound = isqrt(order)
     for s in sums.tolist():
-        d2 = order * pow(s, -1, ell) % ell
-        d = sqrt_mod(d2, ell)
+        d = sqrt_mod(order * pow(s, -1, ell) % ell, ell)
         d = min(d, ell - d)
         if not (1 <= d <= bound and order % d == 0):
             raise InvariantError(f"degree lift {d} out of range for order {order}")

@@ -91,18 +91,20 @@ class _Level:
 
     ``transversal[x]`` maps the base point to x, and ``inverses[x]`` is its
     inverse, stored beside it (same keys) so that sifting multiplies by a
-    kept permutation rather than inverting one at every step.  Entries are
+    kept permutation rather than inverting one at every step; likewise
+    ``gen_inverses[i]`` is the inverse of the residue ``gens[i]``.  Entries are
     only ever added, so an element that once sifted through the levels from
     here on still does.  ``checked`` holds the pairs (x, id(s)) whose
     Schreier generator u_x s u_(x s)^-1 has sifted through the deeper
     levels (s is a residue stored here or deeper, and stays alive there).
     """
 
-    __slots__ = ("point", "gens", "transversal", "inverses", "checked")
+    __slots__ = ("point", "gens", "gen_inverses", "transversal", "inverses", "checked")
 
     def __init__(self, point: int, identity: Perm):
         self.point = point
         self.gens: list[Perm] = []
+        self.gen_inverses: list[Perm] = []
         self.transversal: dict[int, Perm] = {point: identity}
         self.inverses: dict[int, Perm] = {point: identity}
         self.checked: set[tuple[int, int]] = set()
@@ -158,17 +160,17 @@ def _schreier_sims(
     if levels is None:
         levels = []
 
-    def chain_gens(idx: int) -> list[Perm]:
+    def chain_gens(idx: int) -> list[tuple[Perm, Perm]]:
         # Level idx is generated by the residues stored at idx and deeper:
         # deeper residues fix this base point but can still grow its orbit.
-        return [g for lv in levels[idx:] for g in lv.gens]
+        return [pair for lv in levels[idx:] for pair in zip(lv.gens, lv.gen_inverses)]
 
-    def extend_orbit(idx: int, gens_here: list[Perm]) -> list[int]:
-        """The orbit of level idx under gens_here, in the order found, its
-        new points added to the transversal."""
+    def extend_orbit(idx: int, pairs: list[tuple[Perm, Perm]]) -> list[int]:
+        """The orbit of level idx under the generators of pairs (each with
+        its inverse), in the order found, its new points added to the
+        transversal."""
         level = levels[idx]
         trans, invs = level.transversal, level.inverses
-        pairs = [(s, inverse(s)) for s in gens_here]
         queue = list(trans)
         for x in queue:
             ux, vx = trans[x], invs[x]
@@ -186,6 +188,7 @@ def _schreier_sims(
             b = min(i for i in range(degree) if p[i] != i)
             levels.append(_Level(b, identity))
         levels[idx].gens.append(p)
+        levels[idx].gen_inverses.append(inverse(p))
         return idx
 
     # Verify levels bottom-up from the deepest one that gained a residue;
@@ -205,7 +208,7 @@ def _schreier_sims(
         checked = level.checked
         for x in orbit:
             ux = level.transversal[x]
-            for s in gens_here:
+            for s, _ in gens_here:
                 key = (x, id(s))
                 if key in checked:
                     continue
@@ -501,12 +504,6 @@ class PermGroup:
         of every component's levels (see _Component.base), concatenated,
         since components move disjoint points."""
         return tuple(b for comp in self._components for b in comp.base())
-
-    def random_element(self, rng: random.Random) -> Perm:
-        out = self.identity
-        for comp in self._components:
-            out = mult(out, comp.random_element(rng))
-        return out
 
     def elements(self) -> np.ndarray:
         """All elements as one (order, degree) array of POINT_DTYPE rows in

@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
+import random
 from dataclasses import replace
 
 from chardeg.constructions import BuiltGroup, build, parse_group_spec
 from chardeg.groups import ChainIndex, PermGroup
-from chardeg.perms import from_cycles
+from chardeg.perms import Perm, from_cycles, mult
 
 
 def built_of(spec: str) -> BuiltGroup:
@@ -13,6 +14,15 @@ def built_of(spec: str) -> BuiltGroup:
 
 def group_of(spec: str) -> PermGroup:
     return built_of(spec).group
+
+
+def random_element(G: PermGroup, rng: random.Random) -> Perm:
+    """A uniform random element of G: the product of one uniform random
+    element of each of its components."""
+    out = G.identity
+    for comp in G._components:
+        out = mult(out, comp.random_element(rng))
+    return out
 
 
 def two_cycle_product() -> PermGroup:

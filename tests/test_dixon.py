@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chardeg.dixon import (
     CLASS_CAP,
@@ -22,17 +22,19 @@ from chardeg.dixon import (
     DegreeSpectrum,
     _ClassMatrixBuilder,
     _distinct_roots,
-    _eigenrows,
+    _krylov,
+    _projectors,
     _split,
     choose_modulus,
     degree_spectrum,
     dixon_degrees,
 )
 from chardeg import dixon
-from chardeg.constructions import spectrum_of
+from chardeg.constructions import build, iter_catalog, spectrum_of
 from chardeg.groups import PermGroup, conjugacy_classes
 from chardeg.numbers import InvariantError, is_prime
 
+from kernel_reference import charpoly, every_class_eigenspaces, kernel_split
 from oracle import oracle_class_matrices, oracle_degrees
 from support import built_of, drop_orbit_point, group_of, two_cycle_product
 
@@ -209,39 +211,50 @@ def first_class_action(spec: str) -> tuple[np.ndarray, int]:
     return _ClassMatrixBuilder(cs).matrix(i).T % ell, ell
 
 
-def kernel_split(R: np.ndarray, ell: int) -> list[tuple[np.ndarray, list[int]]]:
-    """Reference split of the whole space: one kernel per eigenvalue."""
-    dim = R.shape[0]
-    roots = dixon._distinct_roots(dixon._charpoly(R, ell), ell)
-    return [
-        dixon._rref(dixon._nullspace((R - lam * np.eye(dim, dtype=np.int64)).T % ell, ell), ell)
-        for lam in roots
-    ]
+def unit_row(n: int) -> np.ndarray:
+    """The identity class e_0 as a coefficient row."""
+    e = np.zeros(n, dtype=np.int64)
+    e[0] = 1
+    return e
+
+
+def whole_space(n: int) -> tuple[np.ndarray, list[int], np.ndarray]:
+    """The whole space as the solver's first block: identity basis and the
+    identity class e_0 as its identity component."""
+    return np.eye(n, dtype=np.int64), list(range(n)), unit_row(n)
+
+
+def identity_components(spaces, ell: int) -> np.ndarray:
+    """The sum of the blocks' identity components, each taken back from its
+    block's coordinates to the whole space."""
+    return sum(z @ B for B, _, z in spaces) % ell
 
 
 @pytest.mark.parametrize("spec", ["sym:5", "psl2:7", "dihedral:12", "extraspecial:3", "agl1:9"])
 def test_split_matches_kernel_reference(spec):
     R, ell = first_class_action(spec)
     k = R.shape[0]
-    spaces = _split(np.eye(k, dtype=np.int64), list(range(k)), R, ell)
-    expected = kernel_split(R, ell)
-    assert [p for _, p in spaces] == [p for _, p in expected]
-    for (B, _), (E, _) in zip(spaces, expected):
+    spaces = _split(*whole_space(k), R, ell)
+    expected = kernel_split(np.eye(k, dtype=np.int64), list(range(k)), R, ell)
+    assert [p for _, p, _ in spaces] == [p for _, p in expected]
+    for (B, _, _), (E, _) in zip(spaces, expected):
         assert np.array_equal(B, E)
 
 
-def test_repeated_root_falls_back_to_the_kernel(monkeypatch):
+def test_identity_component_finds_every_eigenvalue():
     # The central class of 5^{1+2} has eigenvalue 1 on the 25 linear
-    # characters beside four simple roots on the degree-5 characters.  Those
-    # characters sum to zero over the central classes, so the all-ones row
-    # has no component in their eigenspaces: all five take the kernel path.
+    # characters beside four simple roots on the degree-5 characters.  The
+    # all-ones row has no component on those four, but e_0 has a nonzero one
+    # on every eigenvalue: all five are found, none projects to zero, and the
+    # 25 linear characters stay together.
     R, ell = first_class_action("extraspecial:5")
-    kernels = []
-    nullspace = dixon._nullspace
-    monkeypatch.setattr(dixon, "_nullspace", lambda M, ell: kernels.append(M) or nullspace(M, ell))
-    spaces = _split(np.eye(29, dtype=np.int64), list(range(29)), R, ell)
-    assert sorted(B.shape[0] for B, _ in spaces) == [1, 1, 1, 1, 25]
-    assert len(kernels) == 5
+    _, f, _ = _krylov(unit_row(29), R, ell)
+    assert len(f) == 6 and len(_distinct_roots(f, ell)) == 5
+    assert _distinct_roots(f, ell) == _distinct_roots(charpoly(R, ell), ell)
+    spaces = _split(*whole_space(29), R, ell)
+    assert [B.shape[0] for B, _, _ in sorted(spaces, key=lambda s: s[0].shape[0])] == [1, 1, 1, 1, 25]
+    assert all(z.any() for _, _, z in spaces)
+    assert np.array_equal(identity_components(spaces, ell), unit_row(29))
     assert spectrum("extraspecial:5") == (1,) * 25 + (5,) * 4
 
 
@@ -264,38 +277,28 @@ def test_classes_that_split_nothing_build_no_matrix(monkeypatch):
     assert cs.sizes[built[-1]] == 295
 
 
-def every_class_eigenspaces(cs) -> list[tuple[np.ndarray, list[int]]]:
-    """Reference splitting loop: build every class matrix, in the solver's
-    class order, while any space is open, and split every open space."""
-    k = len(cs.reps)
-    ell = choose_modulus(cs.order, cs.exponent(), min_value=k)
-    builder = _ClassMatrixBuilder(cs)
-    spaces = [dixon._rref(np.eye(k, dtype=np.int64), ell)]
-    for i in sorted(range(1, k), key=lambda j: (cs.sizes[j], j)):
-        if all(B.shape[0] == 1 for B, _ in spaces):
-            break
-        At = builder.matrix(i).T % ell
-        next_spaces = []
-        for B, pivots in spaces:
-            if B.shape[0] == 1:
-                next_spaces.append((B, pivots))
-            else:
-                next_spaces.extend(_split(B, pivots, (B @ At % ell)[:, pivots], ell))
-        spaces = next_spaces
-    return spaces
-
-
 @pytest.mark.parametrize(
     "spec", ["sym:5", "psl2:7", "extraspecial:5", "agl1:27", "frob:43:1:42", "dihedral:200"]
 )
 def test_skipping_classes_keeps_the_final_spaces(spec):
-    cs = conjugacy_classes(group_of(spec))
+    assert_final_lines_match_the_kernel_reference(conjugacy_classes(group_of(spec)))
+
+
+def assert_final_lines_match_the_kernel_reference(cs):
     ell = choose_modulus(cs.order, cs.exponent(), min_value=len(cs.reps))
     spaces = dixon._common_eigenspaces(cs, ell)
     expected = every_class_eigenspaces(cs)
-    assert [p for _, p in spaces] == [p for _, p in expected]
-    for (B, _), (E, _) in zip(spaces, expected):
+    assert [p for _, p, _ in spaces] == [p for _, p in expected]
+    for (B, _, _), (E, _) in zip(spaces, expected):
         assert np.array_equal(B, E)
+
+
+def test_final_lines_match_the_kernel_reference_over_the_catalog():
+    groups = [build(recipe).group for recipe in iter_catalog(150)]
+    nonabelian = [G for G in groups if not G.is_abelian()]
+    assert len(nonabelian) > 100
+    for G in nonabelian:
+        assert_final_lines_match_the_kernel_reference(conjugacy_classes(G))
 
 
 def test_open_block_must_pivot_on_the_identity_class(monkeypatch):
@@ -305,7 +308,7 @@ def test_open_block_must_pivot_on_the_identity_class(monkeypatch):
     monkeypatch.setattr(
         dixon,
         "_split",
-        lambda *args: [(B[1:], p[1:]) if len(p) > 1 else (B, p) for B, p in split(*args)],
+        lambda *args: [(B[1:], p[1:], z[1:]) if len(p) > 1 else (B, p, z) for B, p, z in split(*args)],
     )
     with pytest.raises(InvariantError, match="identity class"):
         dixon_degrees(conjugacy_classes(group_of("extraspecial:5")))
@@ -340,36 +343,110 @@ def test_distinct_roots_finds_each_root_of_f_l_once():
 
 
 def test_scalar_block_is_kept_unsplit(monkeypatch):
-    def no_charpoly(R, ell):
-        raise AssertionError("a scalar block needs no characteristic polynomial")
+    def no_krylov(z, R, ell):
+        raise AssertionError("a scalar block needs no Krylov sequence")
 
-    monkeypatch.setattr(dixon, "_charpoly", no_charpoly)
+    monkeypatch.setattr(dixon, "_krylov", no_krylov)
     B = np.array([[1, 0, 4], [0, 1, 2]], dtype=np.int64)
     pivots = [0, 1]
-    spaces = _split(B, pivots, 5 * np.eye(2, dtype=np.int64), 7)
-    assert len(spaces) == 1 and spaces[0][0] is B and spaces[0][1] is pivots
+    z = np.array([3, 1], dtype=np.int64)
+    spaces = _split(B, pivots, z, 5 * np.eye(2, dtype=np.int64), 7)
+    assert len(spaces) == 1 and spaces[0][0] is B and spaces[0][1] is pivots and spaces[0][2] is z
 
 
 def test_projected_rows_are_eigenrows():
     for spec in ["psl2:7", "sym:5", "frob:7:1:3"]:
         R, ell = first_class_action(spec)
-        roots = dixon._distinct_roots(dixon._charpoly(R, ell), ell)
-        U = _eigenrows(R, roots, ell)
-        assert U.shape == (len(roots), R.shape[0])
-        for u, lam in zip(U, roots):
+        z = unit_row(R.shape[0])
+        K, f, _ = _krylov(z, R, ell)
+        roots = _distinct_roots(f, ell)
+        # e_0 meets every eigenvalue, so its minimal polynomial has them all
+        assert roots == _distinct_roots(charpoly(R, ell), ell)
+        Z = _projectors(f, np.array(roots, dtype=np.int64), ell) @ K[:-1] % ell
+        assert Z.shape == (len(roots), R.shape[0])
+        for u, lam in zip(Z, roots):
             assert u.any()
             assert np.array_equal(u @ R % ell, lam * u % ell)
+        assert np.array_equal(Z.sum(axis=0) % ell, z)
 
 
 def test_split_rejects_non_diagonalisable_blocks():
     ell = 7
     jordan = np.array([[2, 1], [0, 2]], dtype=np.int64)
-    with pytest.raises(InvariantError, match="single eigenvalue"):
-        _split(np.eye(2, dtype=np.int64), [0, 1], jordan, ell)
-    # two eigenvalues, but a Jordan block for 1: v (R - 2I) is no eigenrow
+    with pytest.raises(InvariantError, match="no distinct roots"):
+        _split(*whole_space(2), jordan, ell)
+    # two eigenvalues, but a Jordan block for 1: e_0 has minimal polynomial (x - 1)^2
     R = np.array([[1, 1, 0], [0, 1, 0], [0, 0, 2]], dtype=np.int64)
-    with pytest.raises(InvariantError, match="eigenrow"):
-        _split(np.eye(3, dtype=np.int64), [0, 1, 2], R, ell)
+    with pytest.raises(InvariantError, match="no distinct roots"):
+        _split(*whole_space(3), R, ell)
+
+
+def test_split_rejects_an_identity_component_that_misses_an_eigenline():
+    ell = 7
+    # e_0 spans the eigenvalue-2 line and misses the other two lines: the
+    # unit rows outside its Krylov span are not killed by x - 2
+    R = np.diag([2, 3, 3]).astype(np.int64)
+    with pytest.raises(InvariantError, match="misses part of the spectrum"):
+        _split(*whole_space(3), R, ell)
+    # it also catches a Jordan block that e_0 does not see
+    R = np.array([[2, 0, 0], [0, 1, 1], [0, 0, 1]], dtype=np.int64)
+    with pytest.raises(InvariantError, match="misses part of the spectrum"):
+        _split(*whole_space(3), R, ell)
+    # a z that misses a line inside an eigenspace still meets its eigenvalue,
+    # and the unit rows fill the eigenspace out
+    R = np.diag([2, 3, 2]).astype(np.int64)
+    z = np.array([1, 1, 0], dtype=np.int64)
+    spaces = _split(np.eye(3, dtype=np.int64), [0, 1, 2], z, R, ell)
+    assert [p for _, p, _ in spaces] == [[0, 2], [1]]
+
+
+def invertible(rows: list[list[int]], ell: int) -> np.ndarray | None:
+    """The inverse mod l of the square matrix with the given rows, or None
+    when it is singular."""
+    n = len(rows)
+    P = np.array(rows, dtype=np.int64) % ell
+    E, pivots = dixon._rref(np.hstack([P, np.eye(n, dtype=np.int64)]), ell)
+    return E[:, n:] if pivots[:n] == list(range(n)) and len(pivots) >= n else None
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_split_of_a_diagonalised_matrix_matches_the_kernel_reference(data):
+    ell = 13
+    n = data.draw(st.integers(1, 6))
+    # few distinct eigenvalues, so that most draws repeat some
+    eigenvalues = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    P = data.draw(
+        st.lists(st.lists(st.integers(0, ell - 1), min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+    P_inv = invertible(P, ell)
+    assume(P_inv is not None)
+    P = np.array(P, dtype=np.int64)
+    # the rows of P are eigenrows of R = P^-1 D P under c -> c R
+    R = P_inv @ np.diag(eigenvalues).astype(np.int64) @ P % ell
+    coefficients = data.draw(st.lists(st.integers(1, ell - 1), min_size=n, max_size=n))
+    z = np.array(coefficients, dtype=np.int64) @ P % ell
+    B, pivots = np.eye(n, dtype=np.int64), list(range(n))
+    spaces = _split(B, pivots, z, R, ell)
+    expected = kernel_split(B, pivots, R, ell)
+    assert [p for _, p, _ in spaces] == [p for _, p in expected]
+    for (S, _, _), (E, _) in zip(spaces, expected):
+        assert np.array_equal(S, E)
+    assert np.array_equal(identity_components(spaces, ell), z)
+
+
+def test_corrupted_identity_component_trips_the_degree_lift(monkeypatch):
+    common = dixon._common_eigenspaces
+
+    def corrupted(cs, ell):
+        spaces = common(cs, ell)
+        B, pivots, z = spaces[-1]
+        spaces[-1] = (B, pivots, 2 * z % ell)
+        return spaces
+
+    monkeypatch.setattr(dixon, "_common_eigenspaces", corrupted)
+    with pytest.raises(InvariantError, match="identity component disagrees with the degree lift"):
+        dixon_degrees(conjugacy_classes(group_of("sym:4")))
 
 
 def test_invariants_hold_under_optimize():
@@ -388,10 +465,12 @@ def test_invariants_hold_under_optimize():
             "else:",
             "    raise SystemExit('unsorted spectrum accepted')",
             "print(spectrum_of(build(parse_group_spec('sym:4'))).degrees)",
+            # its first split has an eigenvalue of multiplicity 25
+            "print(spectrum_of(build(parse_group_spec('extraspecial:5'))).degrees)",
         ]
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "(1, 1, 2, 3, 3)"
+    assert proc.stdout.split("\n")[:2] == ["(1, 1, 2, 3, 3)", str((1,) * 25 + (5,) * 4)]

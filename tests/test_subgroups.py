@@ -26,7 +26,7 @@ from chardeg.subgroups import (
     sylow,
 )
 
-from support import group_of
+from support import group_of, random_element
 
 
 def test_derived_subgroup():
@@ -502,8 +502,8 @@ def test_a_chain_stopped_at_the_group_order_is_never_kept(monkeypatch):
 def test_normal_closure_order_matches_a_chain_built_from_scratch(gens, seed):
     G = PermGroup(gens, degree=6)
     rng = random.Random(seed)
-    x = G.random_element(rng)
-    for elements in ([x], [commutator(x, G.random_element(rng))], list(G.generators[1:])):
+    x = random_element(G, rng)
+    for elements in ([x], [commutator(x, random_element(G, rng))], list(G.generators[1:])):
         K = normal_closure(G, elements)
         assert K.order == PermGroup(K.generators, degree=6).order
         assert all(K.contains(e) for e in elements)
