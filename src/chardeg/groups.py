@@ -1,12 +1,12 @@
 """Finite permutation groups with a base-and-strong-generating-set index.
 
 A PermGroup is generated by permutations of {0, .., degree-1}.  The order
-and membership tests come from a deterministic Schreier-Sims chain.  Two
-shortcuts keep large but structurally simple inputs cheap: generators are
-split into support-disjoint components (a direct product internally), and
-a component with a single generator is handled as an explicit cyclic group
-instead of running Schreier-Sims; its levels, needed only when elements
-are listed, are powers of the generator in closed form.
+and membership tests come from a deterministic Schreier-Sims chain, built
+on first use.  Generators are split into support-disjoint components (a
+direct product internally), each with its own chain.  A component with a
+single generator g knows its order (the order of g) and tests membership
+by walking the cycles of g, so it builds its chain only when its base or
+its elements are needed.
 
 The elements, when a computation needs all of them, are one sorted int16
 array built from the chain, one row per element, with an index that finds
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import gcd, lcm, prod
+from math import lcm, prod
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .numbers import InvariantError
 from .perms import (
     Perm,
     check_bijection,
-    cycles,
     identity_perm,
     inverse,
     is_identity,
@@ -227,8 +226,9 @@ def _schreier_sims(
 class _Component:
     """Generators whose supports form one connected block.
 
-    A single generator g is handled as the cyclic group it generates, whose
-    order (the order of g) is worked out once, here.
+    A single generator g generates a cyclic group, whose order (the order
+    of g) is worked out once, here, and whose membership test walks the
+    cycles of g; its chain, like any other, is built on first use.
     """
 
     __slots__ = ("gens", "support", "_levels", "_cyclic_order", "_abelian")
@@ -287,59 +287,35 @@ class _Component:
                     return True
                 candidate = mult(candidate, step)
             return False
-        for lv in self.levels():
-            u_inv = lv.inverses.get(p[lv.point])
-            if u_inv is None:
-                return False
-            p = mult(p, u_inv)
+        p, _ = _sift(self.levels(), p)
         return all(p[i] == i for i in self.support)
 
     def base(self) -> list[int]:
-        """The base points of the component's levels: the chain's, or for a
-        cyclic <g> the least point of every nontrivial cycle of g (a power
-        of g that fixes a point of a cycle fixes that whole cycle)."""
-        if self.is_cyclic_shortcut:
-            return [c[0] for c in cycles(self.gens[0]) if len(c) > 1]
+        """The base points of the component's levels."""
         return [lv.point for lv in self.levels()]
 
     def factors(self) -> list[np.ndarray]:
         """The transversal of every level, in base() order, as an array
         whose row 0 is the identity: the products of one row from each
         (the row of a later array applied first) are the component's
-        elements, each exactly once.
-
-        A cyclic <g> has its levels in closed form: where the earlier base
-        points are fixed by <g^s>, the level of a cycle of length l holds
-        the powers of g^s below l / gcd(l, s), one row where g^s already
-        fixes that cycle.
+        elements, each exactly once.  Every array has at least two rows,
+        since a level is placed only for a residue that moves its base
+        point.
         """
-        if not self.is_cyclic_shortcut:
-            degree = len(self.gens[0])
-            return [
-                np.fromiter(
-                    itertools.chain.from_iterable(lv.transversal.values()),
-                    dtype=POINT_DTYPE,
-                    count=len(lv.transversal) * degree,
-                ).reshape(-1, degree)
-                for lv in self.levels()
-            ]
-        g = self.gens[0]
-        identity = np.arange(len(g), dtype=POINT_DTYPE)[None, :]
-        out, s = [], 1
-        for c in cycles(g):
-            if len(c) > 1:
-                radix = len(c) // gcd(len(c), s)
-                out.append(_powers(perm_power(g, s), radix) if radix > 1 else identity)
-                s *= radix
-        return out
+        degree = len(self.gens[0])
+        return [
+            np.fromiter(
+                itertools.chain.from_iterable(lv.transversal.values()),
+                dtype=POINT_DTYPE,
+                count=len(lv.transversal) * degree,
+            ).reshape(-1, degree)
+            for lv in self.levels()
+        ]
 
     def random_element(self, rng: random.Random, start: int = 0) -> Perm:
         """A uniform random element of the stabilizer of the first start
-        base points (start = 0 for the whole component; a start above 0
-        needs a component that is not a cyclic shortcut): the product of
+        base points (start = 0 for the whole component): the product of
         one random transversal element per level from start on."""
-        if self.is_cyclic_shortcut:
-            return perm_power(self.gens[0], rng.randrange(self._cyclic_order))
         out = identity_perm(len(self.gens[0]))
         for lv in self.levels()[start:]:
             pts = sorted(lv.transversal)
@@ -353,7 +329,7 @@ class _Component:
         tell apart.  In a group with this component they are the rows of
         elements() that fix those points and the other components' base
         points, found without listing the other rows."""
-        factors = [T for T in self.factors()[start:] if len(T) > 1]
+        factors = self.factors()[start:]
         order = prod(map(len, factors))
         if order > ENUMERATION_CAP:
             raise GroupTooLargeError(f"stabilizer of order {order} exceeds cap {ENUMERATION_CAP}")
@@ -379,20 +355,6 @@ def _products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray | None = No
         # row a of outer starts at a * degree in flat
         out[start : start + len(a)] = flat[inner[c] + (a * degree)[:, None]]
     return out
-
-
-def _powers(h: Perm, count: int) -> np.ndarray:
-    """h^0, .., h^(count-1) as the rows of one array, by doubling."""
-    h = np.array(h, dtype=POINT_DTYPE)
-    powers = np.empty((count, len(h)), dtype=POINT_DTYPE)
-    powers[0] = np.arange(len(h))
-    done = 1
-    while done < count:  # h^(done+a) is h^a then h^done
-        step = min(done, count - done)
-        power = h[powers[done - 1]]
-        powers[done : done + step] = _products(power[None, :], powers[:step])
-        done += step
-    return powers
 
 
 def _sorted_products(
@@ -510,22 +472,21 @@ class PermGroup:
         lexicographic order; error beyond ENUMERATION_CAP.
 
         An element is a product of one transversal element per level of its
-        component's chain (a cyclic component's levels in closed form), and
-        the components commute (Holt, Eick & O'Brien, Handbook of
-        Computational Group Theory, 4.4).  The rows are those products,
-        built with gathers; the order of the rows is found from the columns
-        up to the last base point, which already separate them.  The
-        products lie in G, so they are G exactly when every product of a row
-        with a generator is again a row; that is checked in full against
-        the row the chain index finds.  Then every row's own base images
-        must find that row, so no two rows share them.
+        component's chain, and the components commute (Holt, Eick &
+        O'Brien, Handbook of Computational Group Theory, 4.4).  The rows
+        are those products, built with gathers; the order of the rows is
+        found from the columns up to the last base point, which already
+        separate them.  The products lie in G, so they are G exactly when
+        every product of a row with a generator is again a row; that is
+        checked in full against the row the chain index finds.  Then every
+        row's own base images must find that row, so no two rows share them.
         """
         if self.order > ENUMERATION_CAP:
             raise GroupTooLargeError(f"group of order {self.order} exceeds cap {ENUMERATION_CAP}")
         if self._elements is None:
             base = list(self.base())
             transversals = [comp.factors() for comp in self._components]
-            factors = [T for levels in transversals for T in levels if len(T) > 1]
+            factors = [T for levels in transversals for T in levels]
             elements, row_of_coord = _sorted_products(
                 factors, self.degree, max(base, default=-1) + 1
             )
@@ -552,8 +513,7 @@ class PermGroup:
         one component too, so the levels whose base points a component
         moves are a chain of that component."""
         for comp in self._components:
-            if not comp.is_cyclic_shortcut:
-                comp._levels = [lv for lv in levels if lv.point in comp.support]
+            comp._levels = [lv for lv in levels if lv.point in comp.support]
         if self.order != _chain_order(levels):
             raise InvariantError("an adopted chain does not split over the components")
 
@@ -571,13 +531,12 @@ class PermGroup:
 class IndexLevel:
     """One level of a ChainIndex, for the base point at the same place in
     the base: positions[x] is the row of the level's transversal that maps
-    the base point to x, or -1 off its orbit (None when the orbit is the
-    base point alone); inverses[i] is the inverse of transversal row i,
-    needed only for the base columns `later` of the same component."""
+    the base point to x, or -1 off its orbit; inverses[i] is the inverse of
+    transversal row i, needed only for the base columns `later` of the same
+    component."""
 
-    point: int
     radix: int
-    positions: np.ndarray | None
+    positions: np.ndarray
     inverses: np.ndarray | None
     later: slice
 
@@ -617,15 +576,11 @@ class ChainIndex:
             end = len(levels) + len(component)
             for T in component:
                 column = len(levels)
-                radix, point = len(T), base[column]
-                later = slice(column + 1, end)
-                positions = inverses = None
-                if radix > 1:
-                    positions = np.full(T.shape[1], -1, dtype=np.intp)
-                    positions[T[:, point]] = np.arange(radix)
-                    if column + 1 < end:
-                        inverses = np.argsort(T, axis=1)
-                levels.append(IndexLevel(point, radix, positions, inverses, later))
+                radix, later = len(T), slice(column + 1, end)
+                positions = np.full(T.shape[1], -1, dtype=np.intp)
+                positions[T[:, base[column]]] = np.arange(radix)
+                inverses = np.argsort(T, axis=1) if column + 1 < end else None
+                levels.append(IndexLevel(radix, positions, inverses, later))
         return cls(images, tuple(levels), row_of_coord)
 
     def find(self, images: np.ndarray, what: str) -> np.ndarray:
@@ -637,10 +592,6 @@ class ChainIndex:
         points = np.ascontiguousarray(images.reshape(n, len(self.levels)).T, dtype=np.intp)
         coord = None
         for level, x in zip(self.levels, points):
-            if level.positions is None:
-                if np.any(x != level.point):
-                    raise InvariantError(f"{what} is not an element of the group")
-                continue
             row = level.positions[x]
             if n and row.min() < 0:
                 raise InvariantError(f"{what} is not an element of the group")

@@ -1,7 +1,7 @@
 """Subgroup constructions inside a permutation group.
 
 Everything here returns either a plain PermGroup acting on the same points
-as the parent, or a SubgroupHandle pairing the subgroup with its parent.
+as the parent, or a SubgroupHandle wrapping such a PermGroup.
 Deterministic behaviour matters: fallbacks enumerate elements in sorted
 order, and randomized searches take an explicit seed.
 """
@@ -22,6 +22,7 @@ from .groups import (
     PermGroup,
     _chain_order,
     _Component,
+    _Level,
     _schreier_sims,
     _sift,
     index_orbits,
@@ -43,14 +44,17 @@ _DERIVED_SERIES_STEPS = 64
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup together with the ambient group it sits in."""
+    """A subgroup of a group, on the same points."""
 
     group: PermGroup
-    parent: PermGroup
 
 
 def subgroup(parent: PermGroup, gens) -> SubgroupHandle:
-    return SubgroupHandle(PermGroup(gens, degree=parent.degree), parent)
+    """The subgroup of parent that the given elements generate."""
+    gens = list(gens)
+    if not all(parent.contains(g) for g in gens):
+        raise ValueError("subgroup generated by elements outside the group")
+    return SubgroupHandle(PermGroup(gens, degree=parent.degree))
 
 
 def normal_closure(G: PermGroup, gens) -> PermGroup:
@@ -95,7 +99,7 @@ def derived_subgroup(G: PermGroup) -> SubgroupHandle:
     """Commutator subgroup [G, G]."""
     gens = G.generators
     comms = [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
-    return SubgroupHandle(normal_closure(G, comms), G)
+    return SubgroupHandle(normal_closure(G, comms))
 
 
 def derived_series(G: PermGroup) -> list[PermGroup]:
@@ -128,20 +132,20 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
     (see _component_sylow)."""
     pp, _ = _p_parts(G.order, p)
     if pp == 1:
-        return SubgroupHandle(PermGroup([], degree=G.degree), G)
+        return SubgroupHandle(PermGroup([], degree=G.degree))
     if pp == G.order:
-        return SubgroupHandle(G, G)
+        return SubgroupHandle(G)
     gens = [x for comp in G._components for x in _component_sylow(comp, p, seed)]
     P = PermGroup(gens, degree=G.degree)
     if P.order != pp:
         raise InvariantError(f"Sylow {p}-subgroup has order {P.order}, not {pp}")
-    return SubgroupHandle(P, G)
+    return SubgroupHandle(P)
 
 
 def _component_sylow(C: _Component, p: int, seed: int) -> list[Perm]:
     """Generators of a Sylow p-subgroup of one component C of a group.
 
-    An abelian C (a cyclic shortcut included) gives the m-th powers of its
+    An abelian C (a one-generator C included) gives the m-th powers of its
     generators, m the p'-part of |C|.  Otherwise the search runs inside
     C^(j), the stabilizer of the first j base points of C's chain, j the
     first level whose basic orbit has length divisible by p: the index of
@@ -211,7 +215,7 @@ def p_residual(
     P = sylow_handle if sylow_handle is not None else sylow(G, p, seed=seed)
     if G.is_abelian():
         return P
-    return SubgroupHandle(normal_closure(G, P.group.generators), G)
+    return SubgroupHandle(normal_closure(G, P.group.generators))
 
 
 def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
@@ -257,9 +261,28 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
 
 
 def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
-    """N_G(H) by scanning the elements of G; meant for small groups."""
+    """N_G(H) by scanning the elements of G; meant for small groups.
+
+    A member joins N's generators only when it does not sift through the
+    stabilizer chain of those kept so far, and the chain is then resumed
+    with it (see _schreier_sims), so each generator at least doubles the
+    order and N keeps one chain.  Every member must lie in N: |N| is the
+    number of members.
+    """
     HG = H.group
     hgens = HG.generators
-    rows = (tuple(row.tolist()) for row in G.elements())
-    members = [g for g in rows if all(HG.contains(conjugate(h, g)) for h in hgens)]
-    return SubgroupHandle(PermGroup(members, degree=G.degree), G)
+    levels: list[_Level] = []
+    gens: list[Perm] = []
+    members = 0
+    for row in G.elements():
+        g = tuple(row.tolist())
+        if all(HG.contains(conjugate(h, g)) for h in hgens):
+            members += 1
+            if not is_identity(_sift(levels, g)[0]):
+                _schreier_sims([g], G.degree, levels=levels)
+                gens.append(g)
+    N = PermGroup(gens, degree=G.degree)
+    N.adopt_chain(levels)
+    if N.order != members:
+        raise InvariantError(f"normalizer has order {N.order}, not {members}")
+    return SubgroupHandle(N)

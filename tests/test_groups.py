@@ -1,5 +1,6 @@
 """Tests for permutation groups: order, membership, conjugacy classes."""
 
+import itertools
 import random
 import tracemalloc
 from dataclasses import replace
@@ -338,7 +339,7 @@ def test_index_finds_every_row_from_its_base_images(name):
     assert found.tolist() == list(range(G.order))
 
 
-def test_cyclic_levels_have_closed_form_radices():
+def test_cyclic_levels_are_powers_of_the_generator():
     # <g> with g = (0 1)(2 3 4 5)(6 7 8): the stabilizer of 0 is <g^2>, on
     # whose orbit of 2 the transversal has 2 rows, then <g^4> moves 6 in 3
     g = from_cycles([(0, 1), (2, 3, 4, 5), (6, 7, 8)], 9)
@@ -351,8 +352,50 @@ def test_cyclic_levels_have_closed_form_radices():
             powers.append(mult(powers[-1], perm_power(g, s)))
         assert list(map(tuple, T.tolist())) == powers
     # a cycle that the stabilizer of the earlier base points already fixes
+    # gets no level
     (comp,) = PermGroup([from_cycles([(0, 1), (2, 3)], 4)])._components
-    assert [len(T) for T in comp.factors()] == [2, 1]
+    assert [len(T) for T in comp.factors()] == [2]
+
+
+@st.composite
+def cycle_types(draw):
+    """Cycles on at most 12 points, in a random placement: nontrivial cycle
+    lengths with at least one repeat, and at least one fixed point."""
+    lengths = draw(
+        st.lists(st.integers(2, 4), min_size=2, max_size=4).filter(
+            lambda ls: len(set(ls)) < len(ls) and sum(ls) < 12
+        )
+    )
+    n = sum(lengths) + draw(st.integers(1, 12 - sum(lengths)))
+    points = draw(st.permutations(range(n)))
+    starts = itertools.accumulate(lengths, initial=0)
+    return [tuple(points[a : a + m]) for a, m in zip(starts, lengths)], n
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(cycle_types(), st.randoms(use_true_random=False))
+def test_one_generator_groups_are_the_powers_of_the_generator(cycle_type, rng):
+    cyc, n = cycle_type
+    g = from_cycles(cyc, n)
+    G = PermGroup([g])
+    powers = [perm_power(g, k) for k in range(perm_order(g))]
+    assert G.order == perm_order(g)
+    assert element_tuples(G) == sorted(set(powers))
+    rows = np.array(powers, dtype=groups.POINT_DTYPE)
+    found = G.chain_index().find(rows[:, list(G.base())], "a power")
+    assert np.array_equal(G.elements()[found], rows)
+    # probes that turn each cycle by its own power of g: members exactly
+    # when the exponents agree modulo the cycle lengths
+    power_set = set(powers)
+    for _ in range(20):
+        probe = list(range(n))
+        for c in cyc:
+            k = rng.randrange(len(c))
+            for i, x in enumerate(c):
+                probe[x] = c[(i + k) % len(c)]
+        assert G.contains(probe) == (tuple(probe) in power_set)
+        shuffled = rng.sample(range(n), n)
+        assert G.contains(shuffled) == (tuple(shuffled) in power_set)
 
 
 def s4_fixing_4_and_5():
@@ -366,8 +409,6 @@ def s4_fixing_4_and_5():
         (s4_fixing_4_and_5, (4, 1, 2)),
         # the identity at level 0, then 0 is off the orbit of 1 under S_4's stabilizer of 0
         (s4_fixing_4_and_5, (0, 0, 2)),
-        # (0 1)(2 3): the base images of g at 0 with 2 left fixed
-        (lambda: PermGroup([from_cycles([(0, 1), (2, 3)], 4)]), (1, 2)),
     ],
 )
 def test_non_members_are_not_found(group, outsider):

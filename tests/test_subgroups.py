@@ -248,6 +248,15 @@ def test_is_normal():
     assert is_normal(S4, subgroup(S4, [S4.identity]))
 
 
+def test_subgroup_refuses_elements_outside_the_parent():
+    # S_3 on 5 points: <(3 4)> is no subgroup of it, yet its generator's
+    # conjugates stay in it, so is_normal would accept it
+    S3 = PermGroup([from_cycles([(0, 1)], 5), from_cycles([(0, 1, 2)], 5)])
+    with pytest.raises(ValueError, match="outside the group"):
+        subgroup(S3, [from_cycles([(3, 4)], 5)])
+    assert subgroup(S3, [from_cycles([(0, 2)], 5)]).group.order == 2
+
+
 def test_p_residual():
     C6 = group_of("cyclic:6")
     R = p_residual(C6, 3)
@@ -547,3 +556,13 @@ def test_normalizer_contains_subgroup_and_fixes_it():
     for n in N.group.generators:
         for h in H.group.generators:
             assert H.group.contains(conjugate(h, n))
+
+
+@pytest.mark.parametrize("spec", ["cyclic:1200", "dihedral:600", "sym:4"])
+def test_normalizer_keeps_only_generators_that_grow_it(spec):
+    # each kept generator lies outside the group of the earlier ones, so it
+    # at least doubles the order
+    G = group_of(spec)
+    N = normalizer(G, sylow(G, 2)).group
+    assert len(N.generators) <= N.order.bit_length()
+    assert N.order == {"cyclic:1200": 1200, "dihedral:600": 16, "sym:4": 8}[spec]

@@ -6,6 +6,7 @@ import importlib
 import json
 import re
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,47 @@ def test_module_uses_every_name_it_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert unused == {}, f"{path.name} imports names it never uses: {unused}"
+
+
+def private_definitions(tree: ast.Module) -> dict[str, int]:
+    """The module-level names with one leading underscore that the module
+    defines, by line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            targets = []
+        out.update((name, node.lineno) for name in targets if re.match(r"_[^_]", name))
+    return out
+
+
+@cache
+def package_references() -> frozenset[str]:
+    """Every name the package reads, every attribute it names and every
+    name it imports."""
+    names = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_package_uses_every_private_name_it_defines(path):
+    defined = private_definitions(ast.parse(path.read_text(), filename=str(path)))
+    used = package_references()
+    unused = {name: line for name, line in defined.items() if name not in used}
+    assert unused == {}, f"{path.name} defines private names nothing uses: {unused}"
 
 
 def test_readme_recipe_table_lists_every_kind():
