@@ -57,6 +57,15 @@ def subgroup(parent: PermGroup, gens) -> SubgroupHandle:
     return SubgroupHandle(PermGroup(gens, degree=parent.degree))
 
 
+def _extend_chain(levels: list[_Level], g: Perm, degree: int, stop_at: int | None = None) -> bool:
+    """Resume the complete chain levels with g unless g already sifts
+    through it (see _schreier_sims); whether g was added."""
+    if is_identity(_sift(levels, g)[0]):
+        return False
+    _schreier_sims([g], degree, stop_at=stop_at, levels=levels)
+    return True
+
+
 def normal_closure(G: PermGroup, gens) -> PermGroup:
     """Smallest normal subgroup of G containing the given elements.
 
@@ -85,8 +94,7 @@ def normal_closure(G: PermGroup, gens) -> PermGroup:
     for k in todo:
         for g in G.generators:
             c = conjugate(k, g)
-            if not is_identity(_sift(levels, c)[0]):
-                _schreier_sims([c], G.degree, stop_at=G.order, levels=levels)
+            if _extend_chain(levels, c, G.degree, stop_at=G.order):
                 if _chain_order(levels) >= G.order:
                     return G
                 todo.append(c)
@@ -278,8 +286,7 @@ def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
         g = tuple(row.tolist())
         if all(HG.contains(conjugate(h, g)) for h in hgens):
             members += 1
-            if not is_identity(_sift(levels, g)[0]):
-                _schreier_sims([g], G.degree, levels=levels)
+            if _extend_chain(levels, g, G.degree):
                 gens.append(g)
     N = PermGroup(gens, degree=G.degree)
     N.adopt_chain(levels)
