@@ -69,7 +69,6 @@ class BuiltGroup:
     recipe: GroupRecipe
     group: PermGroup
     split: SplitExtensionData | None = None
-    factors: tuple["BuiltGroup", ...] = ()
 
 
 def _cyclic_order(n: int) -> int:
@@ -347,23 +346,20 @@ def parse_group_spec(text: str) -> GroupRecipe:
 def build(recipe: GroupRecipe) -> BuiltGroup:
     """Construct the permutation group a recipe describes."""
     if recipe.kind == "product":
-        factors = tuple(build(f) for f in recipe.factors)
-        G = direct_product([f.group for f in factors])
-        built = BuiltGroup(recipe=recipe, group=G, factors=factors)
+        made = direct_product([build(f).group for f in recipe.factors])
     else:
         made = _kind(recipe.kind).make(*recipe.params)
-        G, split = made if isinstance(made, tuple) else (made, None)
-        built = BuiltGroup(recipe, G, split=split)
-    if built.group.order != recipe.order:
-        raise InvariantError(
-            f"{recipe.kind} recipe declares order {recipe.order}, built {built.group.order}"
-        )
-    return built
+    G, split = made if isinstance(made, tuple) else (made, None)
+    if G.order != recipe.order:
+        raise InvariantError(f"{recipe.kind} recipe declares order {recipe.order}, built {G.order}")
+    return BuiltGroup(recipe, G, split)
 
 
 def spectrum_of(built: BuiltGroup) -> DegreeSpectrum:
-    """Character degree spectrum, multiplying factor spectra for products."""
-    return degree_spectrum(built.group, factors=[f.group for f in built.factors])
+    """Character degree spectrum of a built group: degree_spectrum of its
+    group, which splits products itself.  Kept as the one call a recipe's
+    spectrum goes through, so that a traced run can time it by name."""
+    return degree_spectrum(built.group)
 
 
 def iter_catalog(max_order: int):

@@ -287,8 +287,6 @@ def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
     if k > CLASS_CAP:
         raise ClassCountError(f"{k} classes exceed the solver cap of {CLASS_CAP}")
     order = cs.order
-    if k == 1:
-        return DegreeSpectrum((1,), 1)
     ell = choose_modulus(order, cs.exponent(), min_value=k)
     spaces = _common_eigenspaces(cs, ell)
     # normalised central characters, one row per space: a reduced echelon
@@ -317,19 +315,17 @@ def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
     return DegreeSpectrum(tuple(degrees), order)
 
 
-def degree_spectrum(G: PermGroup, *, factors: list[PermGroup] | None = None) -> DegreeSpectrum:
-    """Spectrum of G: all ones for abelian groups, a pointwise product over
-    explicit direct factors, and the modular solver otherwise."""
-    if factors:
-        spectra = [degree_spectrum(F) for F in factors]
-        degrees = [1]
-        order = 1
-        for sp in spectra:
-            degrees = [a * b for a in degrees for b in sp.degrees]
-            order *= sp.group_order
-        if order != G.order:
-            raise InvariantError("factor orders disagree with the product group")
-        return DegreeSpectrum(tuple(sorted(degrees)), order)
+def degree_spectrum(G: PermGroup) -> DegreeSpectrum:
+    """Spectrum of G: all ones for abelian groups; for several components,
+    which G is the direct product of, the pointwise product of their
+    spectra (Isaacs, Character Theory of Finite Groups, 4.21); and the
+    modular solver otherwise."""
     if G.is_abelian():
         return DegreeSpectrum((1,) * G.order, G.order)
+    if len(G._components) > 1:
+        degrees = [1]
+        for comp in G._components:
+            sp = degree_spectrum(PermGroup(comp.gens, degree=G.degree))
+            degrees = [a * b for a in degrees for b in sp.degrees]
+        return DegreeSpectrum(tuple(sorted(degrees)), G.order)
     return dixon_degrees(conjugacy_classes(G))

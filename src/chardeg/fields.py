@@ -44,53 +44,16 @@ def _poly_mod(a, f, r):
     return _poly_trim(tuple(a[:df]))
 
 
-def _poly_gcd(a, b, r):
-    a, b = _poly_trim(tuple(a)), _poly_trim(tuple(b))
-    while b:
-        inv = pow(b[-1], -1, r)
-        monic_b = tuple(c * inv % r for c in b)
-        a, b = monic_b, _poly_mod(a, monic_b, r)
-    return a
-
-
-def _poly_powmod(base, e, f, r):
-    result = (1,)
-    base = _poly_mod(base, f, r)
-    while e:
-        if e & 1:
-            result = _poly_mod(_poly_mulmod_r(result, base, r), f, r)
-        base = _poly_mod(_poly_mulmod_r(base, base, r), f, r)
-        e >>= 1
-    return result
-
-
-def _poly_sub(a, b, r):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        tuple(((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % r for i in range(n))
-    )
-
-
-def _is_irreducible(f: tuple[int, ...], r: int) -> bool:
-    """Monic f of degree m is irreducible iff gcd(x^(r^d) - x, f) = 1 for
-    all 1 <= d <= m/2."""
-    m = len(f) - 1
-    x = (0, 1)
-    for d in range(1, m // 2 + 1):
-        w = _poly_powmod(x, r**d, f, r)
-        if len(_poly_gcd(_poly_sub(w, x, r), f, r)) != 1:
-            return False
-    return True
-
-
 def _least_irreducible(r: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (0, 1)
+    """The least monic f of degree m over GF(r) with no monic factor g of
+    degree 1 to m//2, which makes f irreducible."""
     for low in product(range(r), repeat=m):
         f = low + (1,)
-        if f[0] == 0:
-            continue  # constant term 0 means x divides f
-        if _is_irreducible(f, r):
+        if all(
+            _poly_mod(f, g + (1,), r)
+            for d in range(1, m // 2 + 1)
+            for g in product(range(r), repeat=d)
+        ):
             return f
     raise RuntimeError("no irreducible polynomial found")
 

@@ -269,7 +269,8 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
 
 
 def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
-    """N_G(H) by scanning the elements of G; meant for small groups.
+    """N_G(H) by scanning the elements of G; meant for small groups.  An
+    abelian G normalizes every subgroup, and is returned unscanned.
 
     A member joins N's generators only when it does not sift through the
     stabilizer chain of those kept so far, and the chain is then resumed
@@ -277,6 +278,8 @@ def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
     order and N keeps one chain.  Every member must lie in N: |N| is the
     number of members.
     """
+    if G.is_abelian():
+        return SubgroupHandle(G)
     HG = H.group
     hgens = HG.generators
     levels: list[_Level] = []

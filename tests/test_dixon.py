@@ -30,7 +30,7 @@ from chardeg.dixon import (
     dixon_degrees,
 )
 from chardeg import dixon
-from chardeg.constructions import build, iter_catalog, spectrum_of
+from chardeg.constructions import build, dihedral, direct_product, iter_catalog, spectrum_of, sym
 from chardeg.groups import PermGroup, conjugacy_classes
 from chardeg.numbers import InvariantError, is_prime
 
@@ -145,6 +145,37 @@ def test_product_rule_matches_direct_computation():
     built2 = built_of("sym:3xsym:3")
     sp2 = spectrum_of(built2)
     assert sp2.degrees == dixon_degrees(conjugacy_classes(built2.group)).degrees
+
+
+def pointwise(*spectra: tuple[int, ...]) -> tuple[int, ...]:
+    degrees = [1]
+    for sp in spectra:
+        degrees = [a * b for a in degrees for b in sp]
+    return tuple(sorted(degrees))
+
+
+def test_product_of_three_sym5_beyond_the_enumeration_cap():
+    # order 1,728,000: only the components' spectra can be computed
+    G = direct_product([sym(5)] * 3)
+    s5 = (1, 1, 4, 4, 5, 5, 6)
+    assert degree_spectrum(G).degrees == pointwise(s5, s5, s5)
+
+
+def test_product_of_two_dihedral100_beyond_the_class_cap():
+    # 53 classes each, so 2,809 classes in the product
+    G = direct_product([dihedral(100)] * 2)
+    d100 = (1,) * 4 + (2,) * 49
+    assert degree_spectrum(G).degrees == pointwise(d100, d100)
+
+
+def test_product_without_a_recipe_matches_direct_computation():
+    G = direct_product([sym(3), dihedral(5), group_of("alt:4")])
+    assert len(G._components) == 3
+    assert degree_spectrum(G) == dixon_degrees(conjugacy_classes(G))
+
+
+def test_trivial_group_spectrum_from_the_general_path():
+    assert dixon_degrees(conjugacy_classes(PermGroup([], degree=3))).degrees == (1,)
 
 
 def test_spectra_match_oracle():

@@ -16,13 +16,56 @@ def test_prime_field_matches_modular_arithmetic():
     assert F.inv(3) == 5
 
 
+# the modulus of every GF(r^m) with m >= 2 up to 4096 points, ascending
+# coefficients (constant term first, monic), as an independent test found
+# them: the least f with gcd(x^(r^d) - x, f) = 1 for every d <= m/2
+MODULI = {
+    4: (1, 1, 1),
+    8: (1, 0, 1, 1),
+    9: (1, 0, 1),
+    16: (1, 0, 0, 1, 1),
+    25: (1, 1, 1),
+    27: (1, 0, 2, 1),
+    32: (1, 0, 0, 1, 0, 1),
+    49: (1, 0, 1),
+    64: (1, 0, 0, 0, 0, 1, 1),
+    81: (1, 0, 1, 1, 1),
+    121: (1, 0, 1),
+    125: (1, 0, 1, 1),
+    128: (1, 0, 0, 0, 0, 0, 1, 1),
+    169: (1, 3, 1),
+    243: (1, 0, 0, 0, 2, 1),
+    256: (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    289: (1, 1, 1),
+    343: (1, 0, 1, 1),
+    361: (1, 0, 1),
+    512: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+    529: (1, 0, 1),
+    625: (1, 0, 1, 1, 1),
+    729: (1, 0, 0, 0, 1, 1, 1),
+    841: (1, 1, 1),
+    961: (1, 0, 1),
+    1024: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    1331: (1, 0, 4, 1),
+    1369: (1, 3, 1),
+    1681: (1, 1, 1),
+    1849: (1, 0, 1),
+    2048: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    2187: (1, 0, 0, 0, 0, 1, 2, 1),
+    2197: (1, 0, 4, 1),
+    2209: (1, 0, 1),
+    2401: (1, 0, 0, 1, 1),
+    2809: (1, 1, 1),
+    3125: (1, 0, 0, 0, 4, 1),
+    3481: (1, 0, 1),
+    3721: (1, 5, 1),
+    4096: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+}
+
+
 def test_moduli_are_lexicographically_least():
-    # ascending coefficient tuples (constant term first, monic)
-    assert finite_field(4).modulus == (1, 1, 1)
-    assert finite_field(8).modulus == (1, 1, 0, 1) or finite_field(8).modulus == (1, 0, 1, 1)
-    assert finite_field(9).modulus == (1, 0, 1)
-    assert finite_field(16).modulus[-1] == 1
-    assert finite_field(25).modulus[-1] == 1
+    assert {q: finite_field(q).modulus for q in MODULI} == MODULI
+    assert len(MODULI) == 40
 
 
 def test_rejects_non_prime_power():

@@ -558,6 +558,21 @@ def test_normalizer_contains_subgroup_and_fixes_it():
             assert H.group.contains(conjugate(h, n))
 
 
+def test_normalizer_of_an_abelian_group_is_the_group_unscanned(monkeypatch):
+    G = group_of("cyclic:1200")
+    P = sylow(G, 2)
+    calls = []
+    enumerate_elements = PermGroup.elements
+
+    def counting_elements(self):
+        calls.append(self)
+        return enumerate_elements(self)
+
+    monkeypatch.setattr(PermGroup, "elements", counting_elements)
+    assert normalizer(G, P).group is G
+    assert calls == []
+
+
 @pytest.mark.parametrize("spec", ["cyclic:1200", "dihedral:600", "sym:4"])
 def test_normalizer_keeps_only_generators_that_grow_it(spec):
     # each kept generator lies outside the group of the earlier ones, so it

@@ -145,6 +145,28 @@ def test_catalog_rows_match_the_benchmark_reference():
     assert informative == benchmark_reference("catalog-150")["counts"]["informative_rows"]
 
 
+# sha256 of whole JSON reports beyond the benchmark's order 150.  A change
+# that moves the report on purpose re-records these with the benchmark's
+# reference.
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            VerifyConfig(max_order=300),
+            "95c622b917e651b44764b32cabe0dbd082d93781cf8402764489f7e7003f211f",
+        ),
+        (
+            VerifyConfig(max_order=150, tabulate_normalizers=True),
+            "7f66fc0b7ac0c1432344e807c263600871e8770e6b66a67433ca5ce3d73eea6b",
+        ),
+    ],
+    ids=["order-300", "order-150-normalizers"],
+)
+def test_report_is_byte_identical(config, digest):
+    report = run_catalog(config).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
 def test_structure_facts_match_the_benchmark_reference():
     reference = benchmark_reference("structure-large")
     assert len(reference) == 6
