@@ -122,9 +122,7 @@ def _extraspecial_order(p: int) -> int:
 
 
 def cyclic(n: int) -> PermGroup:
-    if _cyclic_order(n) == 1:
-        return PermGroup([], degree=1)
-    return PermGroup([from_cycles([tuple(range(n))], n)])
+    return PermGroup([from_cycles([tuple(range(n))], n)], degree=_cyclic_order(n))
 
 
 def dihedral(n: int) -> PermGroup:
@@ -204,14 +202,9 @@ def agl1(q: int) -> tuple[PermGroup, SplitExtensionData]:
     return frobenius(r, m, q - 1)
 
 
-PSL2_SUPPORTED = frozenset({4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27})
-
-
 def psl2(q: int) -> PermGroup:
     """PSL_2(q) acting on the q + 1 points of the projective line."""
     expected = _psl2_order(q)
-    if q not in PSL2_SUPPORTED:
-        raise ValueError(f"psl2({q}) is outside the supported set {sorted(PSL2_SUPPORTED)}")
     if q + 1 > MAX_POINTS:
         raise ValueError(f"projective line over GF({q}) exceeds the point cap")
     F = finite_field(q)

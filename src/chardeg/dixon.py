@@ -175,8 +175,6 @@ def _split(
     eigenvalues, as for class matrices since l does not divide |G|;
     otherwise an InvariantError is raised."""
     dim = R.shape[0]
-    if np.array_equal(R, R[0, 0] * np.eye(dim, dtype=np.int64)):
-        return [(B, pivots, z)]
     K, f, coords = _krylov(z, R, ell)
     r = len(f) - 1
     lam = np.array(_distinct_roots(f, ell), dtype=np.int64)
@@ -247,7 +245,8 @@ class _ClassMatrixBuilder:
 def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[_Block]:
     """The lines spanned by the central characters mod l, each in reduced
     echelon form with its identity component, found by intersecting
-    eigenspaces class by class from the whole space and e_0."""
+    eigenspaces class by class from the whole space and e_0.  A block on
+    which a class is the scalar its column predicts is kept whole."""
     k = len(cs.reps)
     builder = _ClassMatrixBuilder(cs)
     eye = np.eye(k, dtype=np.int64)
@@ -266,15 +265,20 @@ def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[_Block]:
             if B.shape[0] == 1:
                 next_spaces.append((B, pivots, z))
                 continue
-            W = B @ At % ell
-            R = W[:, pivots]
-            if not np.array_equal(W, R @ B % ell):
-                raise InvariantError("space was not invariant")
-            if not B[1:, i].any():
-                # class i must act on this block as the scalar B[0, i]
-                if not np.array_equal(R, B[0, i] * np.eye(len(pivots), dtype=np.int64)):
-                    raise InvariantError("class is not the scalar its column predicts")
-            next_spaces.extend(_split(B, pivots, z, R, ell))
+            if len(pivots) == k:  # the whole space, whose basis B is the identity
+                R = At
+            else:
+                W = B @ At % ell
+                R = W[:, pivots]
+                if not np.array_equal(W, R @ B % ell):
+                    raise InvariantError("space was not invariant")
+            if B[1:, i].any():
+                next_spaces.extend(_split(B, pivots, z, R, ell))
+                continue
+            # class i must act on this block as the scalar B[0, i]
+            if not np.array_equal(R, B[0, i] * np.eye(len(pivots), dtype=np.int64)):
+                raise InvariantError("class is not the scalar its column predicts")
+            next_spaces.append((B, pivots, z))
         spaces = next_spaces
     if any(B.shape[0] != 1 for B, _, _ in spaces):
         raise InvariantError("splitting incomplete")

@@ -67,7 +67,6 @@ class FiniteField:
         self.char = r
         self.degree = m
         self.modulus = _least_irreducible(r, m)
-        self.zero = 0
         self.one = 1
 
     def vector(self, a: int) -> tuple[int, ...]:
@@ -90,9 +89,6 @@ class FiniteField:
 
     def neg(self, a: int) -> int:
         return self.from_vector((-x) % self.char for x in self.vector(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         pa = _poly_trim(self.vector(a))

@@ -429,10 +429,6 @@ class PermGroup:
         self._abelian: bool | None = None
 
     @property
-    def identity(self) -> Perm:
-        return identity_perm(self.degree)
-
-    @property
     def order(self) -> int:
         if self._order is None:
             out = 1
@@ -454,12 +450,7 @@ class PermGroup:
             return False
         if any(p[i] != i for i in self._fixed_points):
             return False
-        for comp in self._components:
-            if any(p[i] not in comp.support for i in comp.support):
-                return False
-            if not comp.contains(p):
-                return False
-        return True
+        return all(comp.contains(p) for comp in self._components)
 
     def base(self) -> tuple[int, ...]:
         """Points whose images determine every element of G: the base points
@@ -532,12 +523,13 @@ class IndexLevel:
     """One level of a ChainIndex, for the base point at the same place in
     the base: positions[x] is the row of the level's transversal that maps
     the base point to x, or -1 off its orbit; inverses[i] is the inverse of
-    transversal row i, needed only for the base columns `later` of the same
-    component."""
+    transversal row i, read at the base columns `later` of the same
+    component; a component's last level has no such columns and keeps an
+    empty (radix, 0) array rather than radix x degree unread entries."""
 
     radix: int
     positions: np.ndarray
-    inverses: np.ndarray | None
+    inverses: np.ndarray
     later: slice
 
 
@@ -579,7 +571,9 @@ class ChainIndex:
                 radix, later = len(T), slice(column + 1, end)
                 positions = np.full(T.shape[1], -1, dtype=np.intp)
                 positions[T[:, base[column]]] = np.arange(radix)
-                inverses = np.argsort(T, axis=1) if column + 1 < end else None
+                inverses = (
+                    np.argsort(T, axis=1) if column + 1 < end else np.empty((radix, 0), np.intp)
+                )
                 levels.append(IndexLevel(radix, positions, inverses, later))
         return cls(images, tuple(levels), row_of_coord)
 
@@ -590,16 +584,13 @@ class ChainIndex:
         shape = images.shape[:-1]
         n = prod(shape)
         points = np.ascontiguousarray(images.reshape(n, len(self.levels)).T, dtype=np.intp)
-        coord = None
+        coord = np.zeros(n, dtype=np.intp)
         for level, x in zip(self.levels, points):
             row = level.positions[x]
             if n and row.min() < 0:
                 raise InvariantError(f"{what} is not an element of the group")
-            coord = row if coord is None else coord * level.radix + row
-            if level.inverses is not None:
-                points[level.later] = level.inverses[row, points[level.later]]
-        if coord is None:  # no level moves anything: G is trivial
-            coord = np.zeros(n, dtype=np.intp)
+            coord = coord * level.radix + row
+            points[level.later] = level.inverses[row, points[level.later]]
         return self.row_of_coord[coord].reshape(shape)
 
 

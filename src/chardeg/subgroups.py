@@ -39,7 +39,6 @@ from .perms import (
 )
 
 _SYLOW_RANDOM_TRIES = 200
-_DERIVED_SERIES_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,11 @@ def derived_subgroup(G: PermGroup) -> SubgroupHandle:
 def derived_series(G: PermGroup) -> list[PermGroup]:
     """G, [G,G], [[G,G],[G,G]], ... until stable or trivial."""
     series = [G]
-    while len(series) <= _DERIVED_SERIES_STEPS:
+    while True:
         nxt = derived_subgroup(series[-1]).group
         series.append(nxt)
         if nxt.order == 1 or nxt.order == series[-2].order:
             return series
-    raise RuntimeError("derived series did not stabilize")
 
 
 def is_solvable(G: PermGroup) -> bool:
@@ -139,8 +137,6 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
     component of G, since the components commute and move disjoint points
     (see _component_sylow)."""
     pp, _ = _p_parts(G.order, p)
-    if pp == 1:
-        return SubgroupHandle(PermGroup([], degree=G.degree))
     if pp == G.order:
         return SubgroupHandle(G)
     gens = [x for comp in G._components for x in _component_sylow(comp, p, seed)]
@@ -210,7 +206,7 @@ def is_normal(G: PermGroup, H: SubgroupHandle) -> bool:
     if G.is_abelian():
         return True
     HG = H.group
-    if HG.order in (1, G.order):
+    if HG.order == G.order:
         return True
     return all(HG.contains(conjugate(h, g)) for h in HG.generators for g in G.generators)
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from chardeg.constructions import BuiltGroup, build, parse_group_spec
 from chardeg.groups import ChainIndex, PermGroup
-from chardeg.perms import Perm, from_cycles, mult
+from chardeg.perms import Perm, from_cycles, identity_perm, mult
 
 
 def built_of(spec: str) -> BuiltGroup:
@@ -19,7 +19,7 @@ def group_of(spec: str) -> PermGroup:
 def random_element(G: PermGroup, rng: random.Random) -> Perm:
     """A uniform random element of G: the product of one uniform random
     element of each of its components."""
-    out = G.identity
+    out = identity_perm(G.degree)
     for comp in G._components:
         out = mult(out, comp.random_element(rng))
     return out

@@ -16,6 +16,7 @@ from chardeg.acd import (
 )
 from chardeg.dixon import DegreeSpectrum, degree_spectrum
 from chardeg.numbers import is_prime, is_prime_power
+from chardeg.subgroups import is_solvable, p_residual
 
 from support import group_of
 
@@ -170,3 +171,13 @@ def test_acd_bounds_property(extra_degrees, p):
         assert d % p == 0 and d >= p
     if not nonlinear:
         assert acd == 1
+
+
+@pytest.mark.parametrize("p", [p for p in range(17, 54) if is_prime(p)])
+def test_psl2_p_attains_a_p_with_a_nonsolvable_p_residual(p):
+    """The paper's solvability bound is sharp: acd_p(PSL(2, p)) = (p + 1)/2
+    = a_p, and O^{p'}(PSL(2, p)) is the whole simple group."""
+    G = group_of(f"psl2:{p}")
+    assert acd_p(degree_spectrum(G), p) == Fraction(p + 1, 2) == a_p(p)
+    residual = p_residual(G, p).group
+    assert residual.order == G.order and not is_solvable(residual)

@@ -7,7 +7,6 @@ import pytest
 from chardeg import constructions
 from chardeg.constructions import (
     _KINDS,
-    PSL2_SUPPORTED,
     build,
     dihedral_class_count,
     direct_product,
@@ -77,6 +76,11 @@ SMALLEST = {
     "psl2": ("psl2:4", 60),
     "extraspecial": ("extraspecial:3", 27),
 }
+
+
+def test_cyclic_1_is_the_trivial_group_on_one_point():
+    G = constructions.cyclic(1)
+    assert G.degree == 1 and G.generators == () and G.order == 1
 
 
 def test_smallest_recipes_cover_every_kind():
@@ -162,14 +166,28 @@ def test_psl2_orders_and_support():
     assert group_of("psl2:9").order == 360
     assert group_of("psl2:11").order == 660
     with pytest.raises(ValueError):
-        psl2(29)
-    with pytest.raises(ValueError):
         psl2(6)
-    assert 29 not in PSL2_SUPPORTED
-    # outside the supported set: the recipe parses, the build refuses it
-    assert parse_group_spec("psl2:29").order == 12180
-    with pytest.raises(ValueError, match="outside the supported set"):
-        build(parse_group_spec("psl2:29"))
+    # q + 1 = 4097 points: the point cap refuses it before the field is built
+    with pytest.raises(ValueError, match="exceeds the point cap"):
+        psl2(4096)
+
+
+def psl2_closed_form(q: int) -> list[int]:
+    """The degrees of PSL(2, q) from its generic character table, ascending."""
+    if q % 2 == 0:
+        rest = [q + 1] * ((q - 2) // 2) + [q - 1] * (q // 2)
+    elif q % 4 == 1:
+        rest = [(q + 1) // 2] * 2 + [q + 1] * ((q - 5) // 4) + [q - 1] * ((q - 1) // 4)
+    else:
+        rest = [(q - 1) // 2] * 2 + [q + 1] * ((q - 3) // 4) + [q - 1] * ((q - 3) // 4)
+    return sorted([1, q] + rest)
+
+
+@pytest.mark.parametrize("q", [29, 31, 32, 49, 53])
+def test_psl2_beyond_the_catalog_has_the_closed_form_spectrum(q):
+    built = build(parse_group_spec(f"psl2:{q}"))
+    assert built.group.order == q * (q * q - 1) // (2 if q % 2 else 1)
+    assert list(spectrum_of(built).degrees) == psl2_closed_form(q)
 
 
 def test_psl2_simplicity_witness():

@@ -374,15 +374,37 @@ def test_distinct_roots_finds_each_root_of_f_l_once():
 
 
 def test_scalar_block_is_kept_unsplit(monkeypatch):
-    def no_krylov(z, R, ell):
-        raise AssertionError("a scalar block needs no Krylov sequence")
+    """The caller keeps a block on which a class is a scalar (B[1:, i] zero)
+    whole, so _split only ever sees a class that is not a scalar there."""
+    split = dixon._split
 
-    monkeypatch.setattr(dixon, "_krylov", no_krylov)
-    B = np.array([[1, 0, 4], [0, 1, 2]], dtype=np.int64)
-    pivots = [0, 1]
-    z = np.array([3, 1], dtype=np.int64)
-    spaces = _split(B, pivots, z, 5 * np.eye(2, dtype=np.int64), 7)
-    assert len(spaces) == 1 and spaces[0][0] is B and spaces[0][1] is pivots and spaces[0][2] is z
+    def non_scalar_split(B, pivots, z, R, ell):
+        assert not np.array_equal(R, R[0, 0] * np.eye(len(R), dtype=np.int64))
+        return split(B, pivots, z, R, ell)
+
+    monkeypatch.setattr(dixon, "_split", non_scalar_split)
+    for G, expected in [
+        (direct_product([sym(3), sym(3)]), (1, 1, 1, 1, 2, 2, 2, 2, 4)),
+        (dihedral(295), (1, 1) + (2,) * 147),
+    ]:
+        assert dixon_degrees(conjugacy_classes(G)).degrees == expected
+
+
+def test_a_block_that_is_not_invariant_is_refused(monkeypatch):
+    split = dixon._split
+
+    def perturbed_split(B, pivots, z, R, ell):
+        spaces = split(B, pivots, z, R, ell)
+        for C, q, _ in spaces:
+            if C.shape[0] > 1:
+                free = next(j for j in range(C.shape[1]) if j not in q)
+                C[-1, free] = (C[-1, free] + 1) % ell
+                break
+        return spaces
+
+    monkeypatch.setattr(dixon, "_split", perturbed_split)
+    with pytest.raises(InvariantError, match="space was not invariant"):
+        dixon_degrees(conjugacy_classes(direct_product([sym(3), sym(3)])))
 
 
 def test_projected_rows_are_eigenrows():

@@ -69,6 +69,8 @@ def test_trivial_group_requires_degree():
     T = PermGroup([], degree=3)
     assert T.order == 1 and not T.generators and T.is_abelian()
     assert element_tuples(T) == [identity_perm(3)]
+    # no levels: the empty base names the one element, row 0
+    assert T.chain_index().find(np.zeros((1, 0), dtype=groups.POINT_DTYPE), "x").tolist() == [0]
 
 
 def test_contains_matches_enumeration():
@@ -80,6 +82,23 @@ def test_contains_matches_enumeration():
         assert G.contains(p) == (p in universe)
     for x in universe:
         assert G.contains(x)
+
+
+def test_contains_rejects_points_moved_across_components():
+    """A chain component (S_3 on 0-2), a cyclic one ((3 4)(5 6 7)) and the
+    fixed points 8 and 9: an element followed by a swap across two
+    components, onto a fixed point, or of two fixed points is not in G."""
+    G = PermGroup(
+        [from_cycles([(0, 1, 2)], 10), from_cycles([(0, 1)], 10), from_cycles([(3, 4), (5, 6, 7)], 10)]
+    )
+    universe = set(element_tuples(G))
+    assert len(universe) == 36
+    swaps = [(2, 3), (0, 5), (1, 8), (6, 9), (8, 9)]
+    for x in sorted(universe):
+        assert G.contains(x)
+        for swap in swaps:
+            p = mult(x, from_cycles([swap], 10))
+            assert p not in universe and not G.contains(p), (x, swap)
 
 
 @pytest.mark.parametrize("spec", ["sym:6", "psl2:7", "agl1:27", "frob:43:1:42", "dihedral:200"])
@@ -186,7 +205,7 @@ def test_class_zero_is_identity_and_reps_canonical():
     for spec in ["sym:4", "dihedral:6", "agl1:8"]:
         G = group_of(spec)
         cs = conjugacy_classes(G)
-        assert cs.reps[0] == G.identity
+        assert cs.reps[0] == identity_perm(G.degree)
         assert cs.sizes[0] == 1
         elements = element_tuples(G)
         for j, r in enumerate(cs.reps):
@@ -224,8 +243,8 @@ BASE_PATHS = {
 def bfs_closure(G):
     """Every element of G as a word in its generators, breadth first from
     the identity, sorted."""
-    seen = {G.identity}
-    todo = [G.identity]
+    todo = [identity_perm(G.degree)]
+    seen = set(todo)
     for x in todo:  # the list grows while it is walked
         for g in G.generators:
             y = tuple(g[i] for i in x)  # x, then g
@@ -337,6 +356,16 @@ def test_index_finds_every_row_from_its_base_images(name):
     E = G.elements()
     found = G.chain_index().find(E[:, list(G.base())], "a row")
     assert found.tolist() == list(range(G.order))
+
+
+def test_index_keeps_no_inverses_after_a_components_last_level():
+    # a one-generator group of order 500 has one level: 500 x 500 inverses
+    # would be read at no column, so none are kept
+    index = PermGroup([from_cycles([tuple(range(500))], 500)]).chain_index()
+    assert [lv.inverses.shape for lv in index.levels] == [(500, 0)]
+    G = two_cycle_product()  # S_3 levels (3, 2), then the cyclic levels (2, 3)
+    shapes = [lv.inverses.shape for lv in G.chain_index().levels]
+    assert shapes == [(3, 8), (2, 0), (2, 8), (3, 0)]
 
 
 def test_cyclic_levels_are_powers_of_the_generator():

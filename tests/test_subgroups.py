@@ -12,7 +12,15 @@ from chardeg import constructions, groups, subgroups
 from chardeg.constructions import iter_catalog
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
-from chardeg.perms import commutator, conjugate, from_cycles, is_identity, mult, perm_order
+from chardeg.perms import (
+    commutator,
+    conjugate,
+    from_cycles,
+    identity_perm,
+    is_identity,
+    mult,
+    perm_order,
+)
 from chardeg.subgroups import (
     derived_series,
     derived_subgroup,
@@ -64,6 +72,14 @@ def test_is_solvable():
     assert not is_solvable(group_of("alt:5"))
     assert not is_solvable(group_of("psl2:7"))
     assert not is_solvable(group_of("sym:5"))
+
+
+def test_sylow_for_a_prime_not_dividing_the_order_is_trivial():
+    for spec, p in [("sym:4", 5), ("psl2:7", 5), ("sym:3xcyclic:4", 7), ("cyclic:1", 2)]:
+        G = group_of(spec)
+        P = sylow(G, p)
+        assert P.group.order == 1 and not P.group.generators, spec
+        assert is_normal(G, P), spec
 
 
 def test_sylow_orders():
@@ -206,7 +222,6 @@ def test_sylow_of_a_product_takes_one_sylow_subgroup_per_component(spec, monkeyp
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sylow_of_psl2_64_does_not_enumerate_the_group(seed, monkeypatch):
-    monkeypatch.setattr(constructions, "PSL2_SUPPORTED", constructions.PSL2_SUPPORTED | {64})
     G = constructions.psl2(64)
     assert G.order == 262_080 > groups.ENUMERATION_CAP
     monkeypatch.setattr(PermGroup, "elements", lambda self: pytest.fail("G was enumerated"))
@@ -245,7 +260,7 @@ def test_is_normal():
     S4 = group_of("sym:4")
     P2 = sylow(S4, 2)
     assert not is_normal(S4, P2)
-    assert is_normal(S4, subgroup(S4, [S4.identity]))
+    assert is_normal(S4, subgroup(S4, [identity_perm(S4.degree)]))
 
 
 def test_subgroup_refuses_elements_outside_the_parent():
@@ -297,7 +312,7 @@ def test_quotient_group():
     assert Q2.order == 2
 
     # quotient by the trivial subgroup is the group itself
-    T = subgroup(S4, [S4.identity])
+    T = subgroup(S4, [identity_perm(S4.degree)])
     assert quotient_group(S4, T) is S4
 
     # quotient by the whole group is trivial
@@ -528,7 +543,7 @@ def test_normal_closure_of_each_class_rep_is_generated_by_its_class():
         for j, r in enumerate(classes.reps):
             elements = map(tuple, G.elements().tolist())
             members = [x for x, c in zip(elements, classes.class_id) if c == j]
-            brute = orbit(G.identity, [itemgetter(*x) for x in members])
+            brute = orbit(identity_perm(G.degree), [itemgetter(*x) for x in members])
             K = normal_closure(G, [r])
             assert K.order == len(brute), (spec, r)
             # the closure's own chain against one built from scratch
