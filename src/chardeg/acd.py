@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .dixon import DegreeSpectrum
 from .numbers import InvariantError, is_prime, is_prime_power
@@ -36,6 +37,7 @@ def acd_p(spectrum: DegreeSpectrum, p: int) -> Fraction:
     return Fraction(sum(degs), len(degs))
 
 
+@cache
 def ell(p: int) -> int:
     """Least multiplier l >= 1 such that l*p + 1 is a prime power."""
     _require_prime(p)

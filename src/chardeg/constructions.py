@@ -203,34 +203,18 @@ def agl1(q: int) -> tuple[PermGroup, SplitExtensionData]:
 
 
 def psl2(q: int) -> PermGroup:
-    """PSL_2(q) acting on the q + 1 points of the projective line."""
+    """PSL_2(q) acting on the q + 1 points of the projective line, point 0
+    being infinity and point 1 + x being x in GF(q).  It is generated by the
+    translations x -> x + r^i (r the characteristic, i below the degree of
+    GF(q)) and by x -> -1/x, which swaps 0 and infinity."""
     expected = _psl2_order(q)
     if q + 1 > MAX_POINTS:
         raise ValueError(f"projective line over GF({q}) exceeds the point cap")
     F = finite_field(q)
-    r = F.char
-
-    # points: (0, 1) then (1, x); a projective point is normalized so that
-    # its first nonzero coordinate is 1
-    points = [(0, 1)] + [(1, x) for x in F.elements]
-    index = {pt: i for i, pt in enumerate(points)}
-
-    def normalize(a: int, b: int) -> tuple[int, int]:
-        if a != 0:
-            return (1, F.mul(F.inv(a), b))
-        return (0, 1)
-
-    def matrix_perm(mat) -> Perm:
-        (m00, m01), (m10, m11) = mat
-        images = []
-        for a, b in points:
-            na = F.add(F.mul(m00, a), F.mul(m01, b))
-            nb = F.add(F.mul(m10, a), F.mul(m11, b))
-            images.append(index[normalize(na, nb)])
-        return tuple(images)
-
-    gens = [matrix_perm(((1, r**i), (0, 1))) for i in range(F.degree)]
-    gens.append(matrix_perm(((0, 1), (F.neg(1), 0))))
+    gens = [
+        (0,) + tuple(1 + y for y in _translation_perm(F, F.char**i)) for i in range(F.degree)
+    ]
+    gens.append((1, 0) + tuple(1 + F.neg(F.inv(x)) for x in range(1, q)))
     G = PermGroup(gens, degree=q + 1)
     if G.order != expected:
         raise InvariantError(f"PSL(2, {q}) has order {G.order}, not {expected}")

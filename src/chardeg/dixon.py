@@ -4,8 +4,9 @@ The degrees of the complex irreducible characters of a finite group are
 recovered without any floating point: structure constants of the class
 algebra are reduced modulo a prime l = 1 (mod exponent), the common
 eigenvectors of the class-sum matrices over F_l are the reductions of the
-central characters, and each degree is recovered from its square modulo l
-and lifted to the unique integer below l/2.
+central characters, and each degree chi(1) is the divisor d <= sqrt|G| of
+|G| with d^2 = chi(1)^2 (mod l), unique because l*l > 4|G| makes
+d -> d^2 mod l one-to-one on [1, sqrt|G|].
 
 The common eigenspaces are found by splitting invariant subspaces class by
 class (Dixon 1967, Schneider 1990).  Every open subspace is spanned by
@@ -37,7 +38,7 @@ from math import isqrt
 import numpy as np
 
 from .groups import POINT_DTYPE, ClassStructure, PermGroup, conjugacy_classes
-from .numbers import InvariantError, is_prime, sqrt_mod
+from .numbers import InvariantError, is_prime
 
 CLASS_CAP = 150
 
@@ -305,14 +306,11 @@ def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
     # is |G|/chi(1)^2
     if any(int(z[0]) * s % ell != 1 for (_, _, z), s in zip(spaces, sums.tolist())):
         raise InvariantError("identity component disagrees with the degree lift")
-    degrees = []
-    bound = isqrt(order)
-    for s in sums.tolist():
-        d = sqrt_mod(order * pow(s, -1, ell) % ell, ell)
-        d = min(d, ell - d)
-        if not (1 <= d <= bound and order % d == 0):
-            raise InvariantError(f"degree lift {d} out of range for order {order}")
-        degrees.append(d)
+    # chi(1)^2 = |G|/s mod l, and chi(1) is a divisor of |G| at most sqrt|G|
+    lift = {d * d % ell: d for d in range(1, isqrt(order) + 1) if order % d == 0}
+    degrees = [lift.get(order * pow(s, -1, ell) % ell) for s in sums.tolist()]
+    if None in degrees:
+        raise InvariantError(f"no divisor of {order} lifts a degree mod {ell}")
     if len(degrees) != k:
         raise InvariantError(f"{len(degrees)} degrees for {k} classes")
     degrees.sort()

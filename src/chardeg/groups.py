@@ -604,7 +604,6 @@ class ClassStructure:
     containing the inverses of class j.
     """
 
-    group: PermGroup = field(repr=False)
     reps: tuple[Perm, ...]
     sizes: tuple[int, ...]
     inverse_class: tuple[int, ...]
@@ -643,7 +642,6 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
     if any(inverse_class[inverse_class[j]] != j for j in range(len(reps))):
         raise InvariantError("inverse classes are not an involution")
     return ClassStructure(
-        group=G,
         reps=tuple(reps),
         sizes=tuple(sizes),
         inverse_class=inverse_class,

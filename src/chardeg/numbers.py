@@ -1,8 +1,9 @@
-"""Integer number theory helpers: primality, factorization, modular square roots.
+"""Integer number theory helpers: primality, prime powers, factorization.
 
 Factorization uses trial division for small factors and Brent's variant of
 Pollard's rho beyond that, with a deterministic retry schedule so repeated
-runs factor identically.
+runs factor identically.  A prime power is found through exact integer
+roots, so its test is as sound as is_prime.
 """
 
 from __future__ import annotations
@@ -56,26 +57,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def smallest_prime_factor(n: int) -> int | None:
-    """Least prime factor of n by trial division up to TRIAL_DIVISION_BOUND, else None."""
-    if n < 2:
-        return None
-    if n % 2 == 0:
-        return 2
-    if n % 3 == 0:
-        return 3
-    f = 5
-    while f <= TRIAL_DIVISION_BOUND and f * f <= n:
-        if n % f == 0:
-            return f
-        if n % (f + 2) == 0:
-            return f + 2
-        f += 6
-    if f * f > n:
-        return n
-    return None
-
-
 def _integer_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1 (integer Newton iteration from above)."""
     x = 1 << -(-n.bit_length() // k)
@@ -87,23 +68,18 @@ def _integer_root(n: int, k: int) -> int:
 
 
 def _prime_power(n: int) -> tuple[int, int] | None:
-    """(r, k) with n = r^k, r prime and k >= 1, or None if n is no prime power."""
+    """(r, k) with n = r^k, r prime and k >= 1, or None if n is no prime power.
+
+    r is the exact k-th root of n for the largest such k: every other exact
+    root of n is a power of r, so n is a prime power exactly when r is prime.
+    """
     if n < 2:
         return None
-    r = smallest_prime_factor(n)
-    if r is None:
-        # no prime factor up to the trial bound, so r^k = n needs r above it
-        k = 1
-        while (r := _integer_root(n, k)) > TRIAL_DIVISION_BOUND:
-            if r**k == n and is_prime(r):
-                return r, k
-            k += 1
-        return None
-    k = 0
-    while n % r == 0:
-        n //= r
-        k += 1
-    return (r, k) if n == 1 else None
+    for k in range(n.bit_length() - 1, 0, -1):
+        r = _integer_root(n, k)
+        if r**k == n:
+            return (r, k) if is_prime(r) else None
+    return None
 
 
 def is_prime_power(n: int) -> bool:
@@ -192,32 +168,3 @@ def factorize(n: int) -> list[int]:
 def prime_divisors(n: int) -> list[int]:
     """Sorted distinct primes dividing n."""
     return sorted(set(factorize(n)))
-
-
-def sqrt_mod(a: int, p: int) -> int:
-    """A square root of a modulo odd prime p (Tonelli-Shanks); ValueError if none."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        raise ValueError(f"{a} is not a quadratic residue mod {p}")
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r

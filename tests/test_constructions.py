@@ -1,6 +1,7 @@
 """Tests for group recipes: parsing, construction, and the catalog."""
 
 import re
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from chardeg.constructions import (
     psl2,
     spectrum_of,
 )
+from chardeg.fields import finite_field
 from chardeg.groups import conjugacy_classes
 from chardeg.perms import conjugate, mult, perm_order
 from chardeg.subgroups import is_normal, subgroup, sylow
@@ -170,6 +172,32 @@ def test_psl2_orders_and_support():
     # q + 1 = 4097 points: the point cap refuses it before the field is built
     with pytest.raises(ValueError, match="exceeds the point cap"):
         psl2(4096)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_psl2_is_every_unimodular_moebius_map(q):
+    # point 0 is infinity and point 1 + x is x in GF(q); x -> (ax + b)/(cx + d)
+    # with ad - bc = 1 sends infinity to a/c (infinity if c = 0) and x to
+    # infinity where cx + d = 0
+    F = finite_field(q)
+
+    def moebius(a, b, c, d):
+        def image(x):
+            if x is None:
+                return None if c == 0 else F.mul(a, F.inv(c))
+            den = F.add(F.mul(c, x), d)
+            return None if den == 0 else F.mul(F.add(F.mul(a, x), b), F.inv(den))
+
+        return tuple(0 if y is None else 1 + y for y in map(image, [None, *range(q)]))
+
+    maps = {
+        moebius(a, b, c, d)
+        for a, b, c, d in product(range(q), repeat=4)
+        if F.add(F.mul(a, d), F.neg(F.mul(b, c))) == 1
+    }
+    G = psl2(q)
+    assert set(map(tuple, G.elements().tolist())) == maps
+    assert len(maps) == G.order
 
 
 def psl2_closed_form(q: int) -> list[int]:

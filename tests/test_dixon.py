@@ -356,6 +356,14 @@ def test_class_must_be_the_scalar_its_column_predicts(monkeypatch):
         dixon_degrees(conjugacy_classes(group_of("sym:3xsym:3")))
 
 
+def test_degree_lift_must_find_a_divisor_of_the_order():
+    # with |G| doubled, |G|/s mod l is twice each true square chi(1)^2, which
+    # no divisor of 48 up to 6 squares to mod 37
+    cs = conjugacy_classes(group_of("sym:4"))
+    with pytest.raises(InvariantError, match="no divisor of 48 lifts a degree mod 37"):
+        dixon_degrees(replace(cs, order=2 * cs.order))
+
+
 def test_distinct_roots_finds_each_root_of_f_l_once():
     ell = 13
 
