@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from itertools import groupby
@@ -26,8 +27,10 @@ from .numbers import FactorizationError, InvariantError
 from .verify import VerifyConfig, run_catalog
 
 # What the library raises on an input it cannot handle (ValueError covers
-# UnsupportedFamilyError): main reports each as one line and exit code 2.
+# UnsupportedFamilyError), and OSError for a report path that cannot be
+# written: main reports each as one line and exit code 2.
 _LIBRARY_ERRORS = (
+    OSError,
     ValueError,
     ArithmeticError,
     RuntimeError,
@@ -99,9 +102,10 @@ def _cmd_verify(args) -> int:
         timings=args.timings,
         tabulate_normalizers=args.tabulate_normalizers,
     )
-    report = run_catalog(config)
-    if args.json:
-        with open(args.json, "w") as fh:
+    # a report path that cannot be written fails here, before the sweep
+    with open(args.json, "w") if args.json else contextlib.nullcontext() as fh:
+        report = run_catalog(config)
+        if fh is not None:
             fh.write(report.to_json())
     summary = report.summary
     for c in report.checks:

@@ -71,28 +71,36 @@ class BuiltGroup:
     split: SplitExtensionData | None = None
 
 
+def _points(n: int) -> int:
+    """n, the degree of a group on n points, refused above MAX_POINTS
+    before anything of that size is built or counted."""
+    if n > MAX_POINTS:
+        raise ValueError(f"degree {n} exceeds the {MAX_POINTS}-point cap")
+    return n
+
+
 def _cyclic_order(n: int) -> int:
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    return n
+    return _points(n)
 
 
 def _dihedral_order(n: int) -> int:
     if n < 3:
         raise ValueError("dihedral index must be at least 3")
-    return 2 * n
+    return 2 * _points(n)
 
 
 def _sym_order(n: int) -> int:
     if n < 1:
         raise ValueError("symmetric index must be positive")
-    return factorial(n)
+    return factorial(_points(n))
 
 
 def _alt_order(n: int) -> int:
     if n < 3:
         raise ValueError("alternating index must be at least 3")
-    return factorial(n) // 2
+    return factorial(_points(n)) // 2
 
 
 def _agl1_order(q: int) -> int:
@@ -122,7 +130,8 @@ def _extraspecial_order(p: int) -> int:
 
 
 def cyclic(n: int) -> PermGroup:
-    return PermGroup([from_cycles([tuple(range(n))], n)], degree=_cyclic_order(n))
+    _cyclic_order(n)
+    return PermGroup([from_cycles([tuple(range(n))], n)], degree=n)
 
 
 def dihedral(n: int) -> PermGroup:

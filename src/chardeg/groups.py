@@ -8,9 +8,11 @@ single generator g knows its order (the order of g) and tests membership
 by walking the cycles of g, so it builds its chain only when its base or
 its elements are needed.
 
-The elements, when a computation needs all of them, are one sorted int16
-array built from the chain, one row per element, with an index that finds
-any element from its base images by sifting them through the chain.
+The elements, when a computation needs all of them, are one int16 array
+built from the chain, one row per element, in the order of their chain
+coordinates: row x is the element whose transversal rows, read as
+mixed-radix digits, spell x, and sifting an element's base images through
+the chain finds that row.
 Conjugacy classes and cosets are orbits of index maps on those rows.
 """
 
@@ -324,59 +326,43 @@ class _Component:
 
     def stabilizer_elements(self, start: int) -> np.ndarray:
         """The elements that fix the first start base points, as POINT_DTYPE
-        rows in lexicographic order: the products of the transversals from
-        level start on (see factors), which the later base points already
-        tell apart.  In a group with this component they are the rows of
-        elements() that fix those points and the other components' base
-        points, found without listing the other rows."""
+        rows in coordinate order: the products of the transversals from
+        level start on (see _coordinate_products).  In a group with this
+        component they are the rows of elements() that fix those points
+        and the other components' base points, found without listing the
+        other rows."""
         factors = self.factors()[start:]
         order = prod(map(len, factors))
         if order > ENUMERATION_CAP:
             raise GroupTooLargeError(f"stabilizer of order {order} exceeds cap {ENUMERATION_CAP}")
-        width = max(self.base()[start:], default=-1) + 1
-        return _sorted_products(factors, len(self.gens[0]), width)[0]
+        return _coordinate_products(factors, len(self.gens[0]))
 
 
-def _products(outer: np.ndarray, inner: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+def _products(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     """Row r of the result is inner[r % len(inner)] then outer[r // len(inner)],
-    that is outer[r // len(inner)][inner[r % len(inner)]], for r in rows
-    (every r below len(outer) * len(inner) when rows is None).
+    that is outer[r // len(inner)][inner[r % len(inner)]].
 
     One gather per block of rows: numpy indexes with an intp copy of the
     index, and a block keeps that copy small."""
     m, n = inner.shape
-    if rows is None:
-        rows = np.arange(len(outer) * m)
     flat, degree = outer.reshape(-1), outer.shape[1]
-    out = np.empty((len(rows), n), dtype=POINT_DTYPE)
+    out = np.empty((len(outer) * m, n), dtype=POINT_DTYPE)
     step = max(1, _BLOCK_ITEMS // max(n, 1))
-    for start in range(0, len(rows), step):
-        a, c = np.divmod(rows[start : start + step], m)
+    for start in range(0, len(out), step):
+        a, c = np.divmod(np.arange(start, min(start + step, len(out))), m)
         # row a of outer starts at a * degree in flat
         out[start : start + len(a)] = flat[inner[c] + (a * degree)[:, None]]
     return out
 
 
-def _sorted_products(
-    factors: list[np.ndarray], degree: int, width: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every product of one row per factor (later factors applied first), in
-    lexicographic order, given that the first width columns of the products
-    are already pairwise distinct; and the row of every product by its
-    coordinate, the factor rows read as mixed-radix digits with the first
-    factor's the most significant."""
-    identity = np.arange(degree, dtype=POINT_DTYPE)[None, :]
-    if not factors:
-        return identity, np.zeros(1, dtype=np.intp)
-    top, *rest = factors
-    products = rest.pop() if rest else identity
-    for T in reversed(rest):
+def _coordinate_products(factors: list[np.ndarray], degree: int) -> np.ndarray:
+    """Every product of one row per factor (later factors applied first),
+    the product of rows d_0, d_1, .. at the row whose mixed-radix digits
+    they are, with the first factor's the most significant."""
+    products = np.arange(degree, dtype=POINT_DTYPE)[None, :]
+    for T in reversed(factors):
         products = _products(T, products)
-    prefix = _products(top, products[:, :width])
-    order = np.lexsort(prefix.T[::-1])
-    row_of_coord = np.empty_like(order)
-    row_of_coord[order] = np.arange(len(order))
-    return _products(top, products, order), row_of_coord
+    return products
 
 
 def _split_components(gens: list[Perm]) -> list[_Component]:
@@ -460,17 +446,18 @@ class PermGroup:
 
     def elements(self) -> np.ndarray:
         """All elements as one (order, degree) array of POINT_DTYPE rows in
-        lexicographic order; error beyond ENUMERATION_CAP.
+        coordinate order; error beyond ENUMERATION_CAP.
 
         An element is a product of one transversal element per level of its
         component's chain, and the components commute (Holt, Eick &
         O'Brien, Handbook of Computational Group Theory, 4.4).  The rows
-        are those products, built with gathers; the order of the rows is
-        found from the columns up to the last base point, which already
-        separate them.  The products lie in G, so they are G exactly when
-        every product of a row with a generator is again a row; that is
-        checked in full against the row the chain index finds.  Then every
-        row's own base images must find that row, so no two rows share them.
+        are those products, built with gathers, and row x is the product
+        whose transversal rows, read as mixed-radix digits with the first
+        level the most significant, spell x (see ChainIndex).  The
+        products lie in G, so they are G exactly when every product of a
+        row with a generator is again a row; that is checked in full
+        against the row the chain index finds.  Then every row's own base
+        images must find that row, so no two rows share them.
         """
         if self.order > ENUMERATION_CAP:
             raise GroupTooLargeError(f"group of order {self.order} exceeds cap {ENUMERATION_CAP}")
@@ -478,10 +465,8 @@ class PermGroup:
             base = list(self.base())
             transversals = [comp.factors() for comp in self._components]
             factors = [T for levels in transversals for T in levels]
-            elements, row_of_coord = _sorted_products(
-                factors, self.degree, max(base, default=-1) + 1
-            )
-            index = ChainIndex.of(transversals, base, elements[:, base], row_of_coord)
+            elements = _coordinate_products(factors, self.degree)
+            index = ChainIndex.of(transversals, base, elements[:, base])
             gens = np.array(self.generators, dtype=POINT_DTYPE)
             gens = gens.reshape(len(self.generators), self.degree)
             step = max(1, _BLOCK_ITEMS // max(1, self.degree * len(gens)))
@@ -545,13 +530,12 @@ class ChainIndex:
     level j's base point b_j; so with u_0, .., u_(j-1) divided off the
     images, x[b_j] = u_j[b_j], and positions[x[b_j]] is the row of u_j.  Dividing u_j off in turn is one
     gather per later base point of its component.  The rows, read as
-    mixed-radix digits with level 0 the most significant, are the
-    coordinate that row_of_coord turns into x's row in G.elements().
+    mixed-radix digits with level 0 the most significant, are x's
+    coordinate, which is its row in G.elements().
     """
 
     images: np.ndarray
     levels: tuple[IndexLevel, ...]
-    row_of_coord: np.ndarray
 
     @classmethod
     def of(
@@ -559,7 +543,6 @@ class ChainIndex:
         transversals: list[list[np.ndarray]],
         base: list[int],
         images: np.ndarray,
-        row_of_coord: np.ndarray,
     ) -> ChainIndex:
         """The index of a group whose components have the given level
         transversals (arrays of rows, row 0 the identity), in base order."""
@@ -575,7 +558,7 @@ class ChainIndex:
                     np.argsort(T, axis=1) if column + 1 < end else np.empty((radix, 0), np.intp)
                 )
                 levels.append(IndexLevel(radix, positions, inverses, later))
-        return cls(images, tuple(levels), row_of_coord)
+        return cls(images, tuple(levels))
 
     def find(self, images: np.ndarray, what: str) -> np.ndarray:
         """Indices of the elements with the given base images (rows along
@@ -591,14 +574,14 @@ class ChainIndex:
                 raise InvariantError(f"{what} is not an element of the group")
             coord = coord * level.radix + row
             points[level.later] = level.inverses[row, points[level.later]]
-        return self.row_of_coord[coord].reshape(shape)
+        return coord.reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)
 class ClassStructure:
-    """Conjugacy classes with canonical (lexicographically least) representatives.
+    """Conjugacy classes, each represented by its first row in G.elements().
 
-    Class 0 is the identity class; classes are sorted by representative.
+    Class 0 is the identity class; classes are numbered by their first row.
     class_id[x] is the class of G.elements()[x], and index finds those
     elements from their base images.  inverse_class[j] is the class
     containing the inverses of class j.
@@ -623,7 +606,7 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
     are g[x[g^-1[b]]], so for each generator g one gather over the columns
     of the elements at the points g^-1[b] and one lookup in the group's
     chain index give conjugation by g as a map of indices.  Orbits are walked in
-    sorted element order, so each class is found from its least element.
+    row order, so each class is found from its first row.
     """
     elements, index = G.elements(), G.chain_index()
     n, base = len(elements), G.base()

@@ -2,8 +2,8 @@
 
 Everything here returns either a plain PermGroup acting on the same points
 as the parent, or a SubgroupHandle wrapping such a PermGroup.
-Deterministic behaviour matters: fallbacks enumerate elements in sorted
-order, and randomized searches take an explicit seed.
+Deterministic behaviour matters: fallbacks enumerate elements in the order
+of their chain coordinates, and randomized searches take an explicit seed.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def _component_sylow(C: _Component, p: int, seed: int) -> list[Perm]:
 def _stabilizer_candidates(C: _Component, start: int, seed: int):
     """Elements of the stabilizer of the first start base points of C:
     seeded random ones, then, if the search needs more, every element in
-    sorted order, built lazily from the stabilizer's own transversals (no
+    coordinate order, built from the stabilizer's own transversals (no
     element of the rest of the group is listed)."""
     rng = random.Random(seed)
     for _ in range(_SYLOW_RANDOM_TRIES):
@@ -228,8 +228,8 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     The cosets xN are the orbits of G's elements under x -> x*n for the
     generators n of N.  The base images of x*n are n[x[b]], so one gather
     and one lookup in G's chain index give each x -> x*n as a map of element
-    indices.  G's sorted elements are walked in order, so each coset is
-    numbered by its least member.  This enumerates G, so it needs |G|
+    indices.  G's element rows are walked in order, so each coset is
+    numbered by its first row.  This enumerates G, so it needs |G|
     within ENUMERATION_CAP.  The quotient by the trivial subgroup is G
     itself, and the quotient by G is the one-point trivial group.
     """
@@ -265,8 +265,9 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
 
 
 def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
-    """N_G(H) by scanning the elements of G; meant for small groups.  An
-    abelian G normalizes every subgroup, and is returned unscanned.
+    """N_G(H) by scanning the elements of G in row order; meant for small
+    groups.  An abelian G normalizes every subgroup, and is returned
+    unscanned.
 
     A member joins N's generators only when it does not sift through the
     stabilizer chain of those kept so far, and the chain is then resumed

@@ -58,6 +58,9 @@ def test_table_rejects_bad_spec(capsys):
         (["ell", "-p", "1"], "p = 1 is not a prime"),
         (["ell", "-p", "-3"], "p = -3 is not a prime"),
         (["verify", "--max-order", "-5"], "max_order = -5 is negative"),
+        # refused when the spec is parsed, before 10^8 points are listed
+        (["table", "cyclic:100000000"], "degree 100000000 exceeds the 4096-point cap"),
+        (["table", "dihedral:100000000"], "degree 100000000 exceeds the 4096-point cap"),
     ],
 )
 def test_library_errors_are_one_line(capsys, argv, message):
@@ -129,6 +132,19 @@ def test_verify_json_output(tmp_path, capsys):
     payload = json.loads(path.read_text())
     assert payload["summary"]["violations"] == 0
     assert payload["config"]["max_order"] == 12
+
+
+def test_verify_json_to_an_unwritable_path_fails_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def refuse(config):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "run_catalog", refuse)
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "verify", "--max-order", "5", "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(path) in err
+    assert err.count("\n") == 1
 
 
 def test_verify_timings_line(capsys):

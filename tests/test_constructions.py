@@ -312,3 +312,9 @@ def test_catalog_sorted_and_buildable():
     for r in rs:
         built = build(r)
         assert built.group.order == r.order
+
+
+@pytest.mark.parametrize("spec", ["cyclic:4097", "dihedral:4097", "sym:4097", "alt:4097"])
+def test_parse_refuses_a_degree_above_the_point_cap(spec):
+    with pytest.raises(ValueError, match="degree 4097 exceeds the 4096-point cap"):
+        parse_group_spec(spec)

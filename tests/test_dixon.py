@@ -88,8 +88,9 @@ def test_class_matrices_match_oracle_structure_constants(spec):
     G = group_of(spec) if spec else two_cycle_product()
     cs = conjugacy_classes(G)
     classes, mats = oracle_class_matrices(G.generators, G.degree)
-    # classes correspond through their least members, the library's reps
-    ours = [cs.reps.index(cls[0]) for cls in classes]
+    # classes correspond through the class of any member
+    row = {x: i for i, x in enumerate(map(tuple, G.elements().tolist()))}
+    ours = [int(cs.class_id[row[cls[0]]]) for cls in classes]
     assert sorted(ours) == list(range(len(cs.reps)))
     builder = _ClassMatrixBuilder(cs)
     for oi, i in enumerate(ours):

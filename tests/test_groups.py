@@ -136,7 +136,7 @@ def test_elements_cross_validates_order():
         G = group_of(spec)
         els = element_tuples(G)
         assert len(els) == G.order
-        assert els == sorted(set(els))
+        assert sorted(els) == oracle_elements(G.generators, G.degree)
 
 
 def test_enumeration_cap(monkeypatch):
@@ -209,7 +209,7 @@ def test_class_zero_is_identity_and_reps_canonical():
         assert cs.sizes[0] == 1
         elements = element_tuples(G)
         for j, r in enumerate(cs.reps):
-            assert r == min(el for el, c in zip(elements, cs.class_id) if c == j)
+            assert r == next(el for el, c in zip(elements, cs.class_id) if c == j)
             assert cs.class_id[elements.index(inverse(r))] == cs.inverse_class[j]
             assert cs.sizes[cs.inverse_class[j]] == cs.sizes[j]
         assert sum(cs.sizes) == G.order
@@ -221,7 +221,8 @@ def test_classes_agree_with_oracle():
         cs = conjugacy_classes(G)
         ocl = oracle_classes(oracle_elements(G.generators, G.degree), G.generators)
         assert sorted(cs.sizes) == sorted(len(c) for c in ocl)
-        assert {min(c) for c in ocl} == set(cs.reps)
+        row = {x: i for i, x in enumerate(element_tuples(G))}
+        assert {min(c, key=row.__getitem__) for c in ocl} == set(cs.reps)
 
 
 BASE_PATHS = {
@@ -259,7 +260,28 @@ def test_element_rows_equal_the_generator_closure(name):
     G = BASE_PATHS[name]()
     E = G.elements()
     assert E.dtype == groups.POINT_DTYPE and E.shape == (G.order, G.degree)
-    assert element_tuples(G) == bfs_closure(G)
+    assert sorted(element_tuples(G)) == bfs_closure(G)
+
+
+@pytest.mark.parametrize("name", ["two-cycle-product", "sym:3xcyclic:4", "psl2:7"])
+def test_row_x_is_the_element_whose_transversal_digits_spell_x(name):
+    G = BASE_PATHS[name]()
+    factors = [T for comp in G._components for T in comp.factors()]
+    radices = [len(T) for T in factors]
+    E = G.elements()
+    identity = identity_perm(G.degree)
+    assert tuple(E[0].tolist()) == identity
+    assert conjugacy_classes(G).reps[0] == identity
+    for x in random.Random(0).sample(range(G.order), min(G.order, 30)) + [G.order - 1]:
+        digits, rest = [], x
+        for radix in reversed(radices):  # the first level is the most significant
+            rest, digit = divmod(rest, radix)
+            digits.insert(0, digit)
+        # later levels applied first: x[p] = u_0[u_1[..u_m[p]..]]
+        product = identity
+        for T, digit in zip(factors, digits):
+            product = mult(tuple(T[digit].tolist()), product)
+        assert tuple(E[x].tolist()) == product, (name, x, digits)
 
 
 def test_corrupted_transversal_entry_fails_the_closure_check():
@@ -295,8 +317,11 @@ def test_classes_match_oracle_on_every_base_path(name):
     ocl = oracle_classes(oracle_elements(G.generators, G.degree), G.generators)
     elements = element_tuples(G)
     members = [[x for x, c in zip(elements, cs.class_id) if c == j] for j in range(len(cs.reps))]
-    assert sorted(members) == sorted(ocl)
-    assert list(cs.reps) == [m[0] for m in members] == sorted(cs.reps)
+    assert sorted(map(sorted, members)) == sorted(ocl)
+    # each rep is the first row of its class, and classes are numbered by it
+    first_rows = [elements.index(r) for r in cs.reps]
+    assert list(cs.reps) == [m[0] for m in members]
+    assert first_rows == sorted(first_rows)
     assert list(cs.sizes) == [len(m) for m in members]
     for j, r in enumerate(cs.reps):
         assert inverse(r) in members[cs.inverse_class[j]]
@@ -409,7 +434,7 @@ def test_one_generator_groups_are_the_powers_of_the_generator(cycle_type, rng):
     G = PermGroup([g])
     powers = [perm_power(g, k) for k in range(perm_order(g))]
     assert G.order == perm_order(g)
-    assert element_tuples(G) == sorted(set(powers))
+    assert sorted(element_tuples(G)) == sorted(set(powers))
     rows = np.array(powers, dtype=groups.POINT_DTYPE)
     found = G.chain_index().find(rows[:, list(G.base())], "a power")
     assert np.array_equal(G.elements()[found], rows)
