@@ -16,7 +16,7 @@ from math import factorial, isqrt, prod
 
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
 from .fields import finite_field
-from .groups import MAX_POINTS, PermGroup
+from .groups import MAX_POINTS, PermGroup, _points
 from .numbers import InvariantError, is_prime, is_prime_power, prime_power_decomposition
 from .perms import Perm, from_cycles
 
@@ -71,14 +71,6 @@ class BuiltGroup:
     split: SplitExtensionData | None = None
 
 
-def _points(n: int) -> int:
-    """n, the degree of a group on n points, refused above MAX_POINTS
-    before anything of that size is built or counted."""
-    if n > MAX_POINTS:
-        raise ValueError(f"degree {n} exceeds the {MAX_POINTS}-point cap")
-    return n
-
-
 def _cyclic_order(n: int) -> int:
     if n < 1:
         raise ValueError("cyclic order must be positive")
@@ -104,20 +96,22 @@ def _alt_order(n: int) -> int:
 
 
 def _agl1_order(q: int) -> int:
-    if not is_prime_power(q):
+    if not is_prime_power(_points(q)):
         raise ValueError(f"agl1 requires a prime power, got {q}")
     return q * (q - 1)
 
 
 def _frob_order(r: int, m: int, d: int) -> int:
+    q = _points(r, m)
     if not is_prime(r):
         raise ValueError(f"frob base {r} is not prime")
-    if m < 1 or d < 1 or (r**m - 1) % d != 0:
+    if m < 1 or d < 1 or (q - 1) % d != 0:
         raise ValueError(f"frob order {d} must divide {r}^{m} - 1")
-    return r**m * d
+    return q * d
 
 
 def _psl2_order(q: int) -> int:
+    _points(q + 1)
     if not is_prime_power(q) or q < 4:
         raise ValueError("psl2 requires a prime power q >= 4")
     return q * (q * q - 1) // (2 if q % 2 else 1)
@@ -188,8 +182,6 @@ def frobenius(r: int, m: int, d: int) -> tuple[PermGroup, SplitExtensionData]:
     """
     order = _frob_order(r, m, d)
     q = r**m
-    if q > MAX_POINTS:
-        raise ValueError(f"field size {q} exceeds the point cap")
     F = finite_field(q)
     kernel = tuple(_translation_perm(F, r**i) for i in range(m))
     if d > 1:
@@ -207,6 +199,7 @@ def frobenius(r: int, m: int, d: int) -> tuple[PermGroup, SplitExtensionData]:
 
 def agl1(q: int) -> tuple[PermGroup, SplitExtensionData]:
     """One-dimensional affine group x -> ax + b over GF(q), order q(q-1)."""
+    _agl1_order(q)
     r, m = prime_power_decomposition(q)
     return frobenius(r, m, q - 1)
 
@@ -217,8 +210,6 @@ def psl2(q: int) -> PermGroup:
     translations x -> x + r^i (r the characteristic, i below the degree of
     GF(q)) and by x -> -1/x, which swaps 0 and infinity."""
     expected = _psl2_order(q)
-    if q + 1 > MAX_POINTS:
-        raise ValueError(f"projective line over GF({q}) exceeds the point cap")
     F = finite_field(q)
     gens = [
         (0,) + tuple(1 + y for y in _translation_perm(F, F.char**i)) for i in range(F.degree)
@@ -350,14 +341,15 @@ def spectrum_of(built: BuiltGroup) -> DegreeSpectrum:
 
 def iter_catalog(max_order: int):
     """Yield catalog recipes with order at most max_order, sorted by
-    (order, spec).  The catalog covers cyclic groups, abelian pairs,
+    (order, spec).  The catalog covers cyclic groups and abelian pairs
+    within the point cap (cyclic:a x cyclic:b acts on a + b points),
     dihedral groups within the class cap, small symmetric and alternating
     groups, affine and Frobenius groups, PSL_2, extraspecial groups, and a
     fixed pool of direct products."""
     specs: list[str] = []
-    specs.extend(f"cyclic:{n}" for n in range(1, max_order + 1))
+    specs.extend(f"cyclic:{n}" for n in range(1, min(max_order, MAX_POINTS) + 1))
     for a in range(2, ABELIAN_PAIR_CAP + 1):
-        for b in range(a, max_order // a + 1):
+        for b in range(a, min(max_order // a, MAX_POINTS - a) + 1):
             specs.append(f"cyclic:{a}xcyclic:{b}")
     for n in range(4, max_order // 2 + 1):
         if dihedral_class_count(n) <= CLASS_CAP:

@@ -35,9 +35,8 @@ def _poly_mod(a, f, r):
     """a mod f for monic f, coefficients over GF(r)."""
     a = list(a)
     df = len(f) - 1
-    inv_lead = 1  # f monic
     for top in range(len(a) - 1, df - 1, -1):
-        c = a[top] * inv_lead % r
+        c = a[top] % r
         if c:
             for i, y in enumerate(f):
                 a[top - df + i] = (a[top - df + i] - c * y) % r

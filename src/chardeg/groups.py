@@ -50,6 +50,17 @@ class GroupTooLargeError(Exception):
     """Raised when an operation needs more elements than the configured cap."""
 
 
+def _points(base: int, exp: int = 1) -> int:
+    """base**exp, the degree of a group on that many points, refused above
+    MAX_POINTS before anything of that size is built or counted.  A power
+    past the cap is not formed: base >= 2 with exp >= 13 is past it."""
+    n = min(base, MAX_POINTS + 1) ** min(exp, MAX_POINTS.bit_length())
+    if n > MAX_POINTS:
+        shown = base if exp == 1 else f"{base}^{exp}"
+        raise ValueError(f"degree {shown} exceeds the {MAX_POINTS}-point cap")
+    return n
+
+
 def orbit(start, maps, seen: set | None = None, limit: int | None = None) -> list:
     """start and every point reachable from it under the callables in maps,
     in breadth-first discovery order.
@@ -400,8 +411,7 @@ class PermGroup:
             if not gens:
                 raise ValueError("degree required for a group with no moving generators")
             degree = len(gens[0])
-        if degree > MAX_POINTS:
-            raise ValueError(f"degree {degree} exceeds the {MAX_POINTS}-point cap")
+        _points(degree)
         if any(len(g) != degree for g in gens):
             raise ValueError("generators act on different point sets")
         self.degree = degree

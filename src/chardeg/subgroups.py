@@ -16,13 +16,13 @@ from operator import itemgetter
 import numpy as np
 
 from .groups import (
-    MAX_POINTS,
     POINT_DTYPE,
     GroupTooLargeError,
     PermGroup,
     _chain_order,
     _Component,
     _Level,
+    _points,
     _schreier_sims,
     _sift,
     index_orbits,
@@ -241,8 +241,7 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     if not is_normal(G, N):
         raise ValueError("quotient by a non-normal subgroup")
     index = G.order // NG.order
-    if index > MAX_POINTS:
-        raise ValueError(f"coset space of size {index} exceeds the {MAX_POINTS}-point cap")
+    _points(index)
     elements, chain = G.elements(), G.chain_index()
     base, images = list(G.base()), chain.images
     by_n = [

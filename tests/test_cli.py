@@ -61,6 +61,9 @@ def test_table_rejects_bad_spec(capsys):
         # refused when the spec is parsed, before 10^8 points are listed
         (["table", "cyclic:100000000"], "degree 100000000 exceeds the 4096-point cap"),
         (["table", "dihedral:100000000"], "degree 100000000 exceeds the 4096-point cap"),
+        # r^m is not formed, so no 4,772-digit degree is printed
+        (["table", "frob:3:10000:2"], "degree 3^10000 exceeds the 4096-point cap"),
+        (["table", "agl1:4099"], "degree 4099 exceeds the 4096-point cap"),
     ],
 )
 def test_library_errors_are_one_line(capsys, argv, message):

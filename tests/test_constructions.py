@@ -8,6 +8,7 @@ import pytest
 from chardeg import constructions
 from chardeg.constructions import (
     _KINDS,
+    agl1,
     build,
     dihedral_class_count,
     direct_product,
@@ -170,7 +171,7 @@ def test_psl2_orders_and_support():
     with pytest.raises(ValueError):
         psl2(6)
     # q + 1 = 4097 points: the point cap refuses it before the field is built
-    with pytest.raises(ValueError, match="exceeds the point cap"):
+    with pytest.raises(ValueError, match="degree 4097 exceeds the 4096-point cap"):
         psl2(4096)
 
 
@@ -314,7 +315,52 @@ def test_catalog_sorted_and_buildable():
         assert built.group.order == r.order
 
 
-@pytest.mark.parametrize("spec", ["cyclic:4097", "dihedral:4097", "sym:4097", "alt:4097"])
-def test_parse_refuses_a_degree_above_the_point_cap(spec):
-    with pytest.raises(ValueError, match="degree 4097 exceeds the 4096-point cap"):
+# each spec with the degree its refusal names: q points for agl1:q, q + 1
+# for psl2:q and r^m for frob:r:m:d, which is not formed past the cap
+_OVER_THE_CAP = {
+    "cyclic:4097": "4097",
+    "dihedral:4097": "4097",
+    "sym:4097": "4097",
+    "alt:4097": "4097",
+    "agl1:4099": "4099",
+    "psl2:4096": "4097",
+    "psl2:4099": "4100",
+    "frob:3:8:2": "3^8",
+    "frob:4099:1:2": "4099",
+    "frob:3:1000000:2": "3^1000000",
+}
+
+
+@pytest.mark.parametrize("spec", _OVER_THE_CAP)
+def test_parse_refuses_a_degree_above_the_point_cap(spec, monkeypatch):
+    # the cap is tested first: no primality test sees a number above it
+    def small_only(test):
+        def checked(n):
+            assert n <= 4096, f"{test.__name__}({n}) ran before the point cap"
+            return test(n)
+
+        return checked
+
+    monkeypatch.setattr(constructions, "is_prime", small_only(constructions.is_prime))
+    monkeypatch.setattr(constructions, "is_prime_power", small_only(constructions.is_prime_power))
+    message = f"degree {_OVER_THE_CAP[spec]} exceeds the 4096-point cap"
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_group_spec(spec)
+
+
+def test_agl1_validates_like_its_recipe():
+    with pytest.raises(ValueError, match="agl1 requires a prime power, got 6"):
+        agl1(6)
+    with pytest.raises(ValueError, match="degree 4099 exceeds the 4096-point cap"):
+        agl1(4099)
+
+
+@pytest.mark.parametrize("max_order", [4097, 10000])
+def test_catalog_above_the_point_cap_lists_only_what_builds(max_order):
+    specs = [r.spec for r in iter_catalog(max_order)]
+    assert "cyclic:4096" in specs and "cyclic:4097" not in specs
+    pairs = [re.fullmatch(r"cyclic:(\d+)xcyclic:(\d+)", s) for s in specs]
+    sizes = [int(m[1]) + int(m[2]) for m in pairs if m]
+    assert sizes and max(sizes) <= 4096
+    if max_order == 10000:
+        assert "cyclic:2xcyclic:4094" in specs and "cyclic:2xcyclic:4095" not in specs

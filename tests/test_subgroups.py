@@ -20,6 +20,7 @@ from chardeg.perms import (
     is_identity,
     mult,
     perm_order,
+    perm_power,
 )
 from chardeg.subgroups import (
     derived_series,
@@ -318,6 +319,15 @@ def test_quotient_group():
     # quotient by the whole group is trivial
     W = subgroup(S4, S4.generators)
     assert quotient_group(S4, W).order == 1
+
+
+def test_quotient_refuses_a_coset_space_above_the_point_cap():
+    # |G| = 9,900 and N = <g^50> has order 2, so G/N would act on 4,950 cosets
+    G = group_of("cyclic:100xcyclic:99")
+    N = subgroup(G, [perm_power(G.generators[0], 50)])
+    assert N.group.order == 2
+    with pytest.raises(ValueError, match="degree 4950 exceeds the 4096-point cap"):
+        quotient_group(G, N)
 
 
 def reference_quotient(G, N):
