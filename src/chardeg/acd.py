@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .dixon import DegreeSpectrum
-from .numbers import InvariantError, is_prime, is_prime_power
+from .dixon import DegreeSpectrum, expand_pairs
+from .numbers import is_prime, is_prime_power
 
 ELL_SEARCH_CAP = 10**6
 
@@ -23,18 +23,18 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not a prime")
 
 
-def irr_p_degrees(spectrum: DegreeSpectrum, p: int) -> tuple[int, ...]:
-    """Degrees equal to 1 or divisible by p, sorted with multiplicity."""
-    return tuple(d for d in spectrum.degrees if d == 1 or d % p == 0)
+def irr_p_degrees(spectrum: DegreeSpectrum, p: int) -> tuple[tuple[int, int], ...]:
+    """The (degree, multiplicity) pairs of the spectrum whose degree is 1 or
+    divisible by p, in increasing degree."""
+    return tuple((d, m) for d, m in spectrum.pairs if d == 1 or d % p == 0)
 
 
 def acd_p(spectrum: DegreeSpectrum, p: int) -> Fraction:
-    """Average of the degrees in irr_p_degrees; always at least 1."""
+    """Average of the degrees in irr_p_degrees, with multiplicity; always at
+    least 1, since every spectrum has the degree 1."""
     _require_prime(p)
-    degs = irr_p_degrees(spectrum, p)
-    if not degs:
-        raise InvariantError("spectrum lacks the degree 1 of the trivial character")
-    return Fraction(sum(degs), len(degs))
+    pairs = irr_p_degrees(spectrum, p)
+    return Fraction(sum(d * m for d, m in pairs), sum(m for _, m in pairs))
 
 
 @cache
@@ -65,15 +65,21 @@ def a_p(p: int) -> Fraction:
 
 @dataclass(frozen=True)
 class AcdReport:
-    """acd_p of one group against both thresholds."""
+    """acd_p of one group against both thresholds; pairs are the
+    irr_p_degrees of its spectrum."""
 
     p: int
-    degrees: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
     acd: Fraction
     b: Fraction
     a: Fraction
     below_b: bool
     below_a: bool
+
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """The degrees of pairs, sorted, each repeated by its multiplicity."""
+        return expand_pairs(self.pairs)
 
     def to_dict(self) -> dict:
         return {
@@ -89,11 +95,9 @@ class AcdReport:
 
 def make_acd_report(spectrum: DegreeSpectrum, p: int) -> AcdReport:
     acd = acd_p(spectrum, p)
-    degs = irr_p_degrees(spectrum, p)
+    pairs = irr_p_degrees(spectrum, p)
     b, a = b_p(p), a_p(p)
-    return AcdReport(
-        p=p, degrees=degs, acd=acd, b=b, a=a, below_b=acd < b, below_a=acd < a
-    )
+    return AcdReport(p=p, pairs=pairs, acd=acd, b=b, a=a, below_b=acd < b, below_a=acd < a)
 
 
 def format_rational(x: Fraction) -> str:

@@ -15,7 +15,6 @@ import argparse
 import contextlib
 import json
 import sys
-from itertools import groupby
 
 from ._version import __version__
 from .acd import a_p, b_p, ell, format_rational, make_acd_report
@@ -41,9 +40,8 @@ _LIBRARY_ERRORS = (
 )
 
 
-def _spectrum_text(degrees) -> str:
-    runs = [(d, len(list(group))) for d, group in groupby(degrees)]
-    return " ".join(f"{d}^{k}" if k > 1 else str(d) for d, k in runs)
+def _spectrum_text(pairs) -> str:
+    return " ".join(f"{d}^{k}" if k > 1 else str(d) for d, k in pairs)
 
 
 def _cmd_table(args) -> int:
@@ -64,8 +62,8 @@ def _cmd_table(args) -> int:
         return 0
     print(f"group: {recipe.spec}")
     print(f"order: {recipe.order}")
-    print(f"degrees: {_spectrum_text(spectrum.degrees)}")
-    print(f"count: {len(spectrum.degrees)}")
+    print(f"degrees: {_spectrum_text(spectrum.pairs)}")
+    print(f"count: {sum(m for _, m in spectrum.pairs)}")
     return 0
 
 
@@ -79,7 +77,7 @@ def _cmd_acd(args) -> int:
         print(json.dumps(payload, separators=(",", ":")))
         return 0
     print(f"group: {recipe.spec} (order {recipe.order})")
-    print(f"irr_{args.p} degrees: {_spectrum_text(report.degrees)}")
+    print(f"irr_{args.p} degrees: {_spectrum_text(report.pairs)}")
     print(f"acd_{args.p} = {format_rational(report.acd)}")
     print(f"b_{args.p} = {format_rational(report.b)} (below: {report.below_b})")
     print(f"a_{args.p} = {format_rational(report.a)} (below: {report.below_a})")

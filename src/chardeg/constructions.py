@@ -16,7 +16,7 @@ from math import factorial, isqrt, prod
 
 from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
 from .fields import finite_field
-from .groups import MAX_POINTS, PermGroup, _points
+from .groups import MAX_POINTS, PermGroup, _points, past_the_point_cap
 from .numbers import InvariantError, is_prime, is_prime_power, prime_power_decomposition
 from .perms import Perm, from_cycles
 
@@ -34,6 +34,8 @@ _PRODUCT_POOL_LEFT = (
 )
 _PRODUCT_POOL_EXTRA = ("sym:3xsym:3", "sym:3xalt:4", "sym:3xsym:4")
 _EXTRASPECIAL_PRIMES = (3, 5)
+# the least limit Python can be set to on converting a decimal string
+_NUMERAL_DIGITS = 640
 
 
 @dataclass(frozen=True)
@@ -294,11 +296,22 @@ def _parse_atom(text: str) -> GroupRecipe:
     kind, raw = parts[0], parts[1:]
     if not raw or not all(re.fullmatch(r"[0-9]+", x) for x in raw):
         raise ValueError(f"malformed group spec atom {text!r}")
-    params = tuple(int(x) for x in raw)
+    params = tuple(map(_numeral, raw))
     entry = _kind(kind)
     if len(params) != entry.arity:
         raise ValueError(f"{kind} takes {entry.arity} parameter(s), got {text!r}")
     return GroupRecipe(spec=text, kind=kind, params=params, order=entry.order(*params))
+
+
+def _numeral(text: str) -> int:
+    """The value of a recipe numeral, whose leading zeros do not count
+    toward its length.  A numeral longer than _NUMERAL_DIGITS is far past
+    the point cap that bounds every parameter, and is refused as such
+    before Python is asked to convert it."""
+    digits = text.lstrip("0") or "0"
+    if len(digits) > _NUMERAL_DIGITS:
+        raise past_the_point_cap(f"{digits[:8]}... ({len(digits)} digits)")
+    return int(digits)
 
 
 def parse_group_spec(text: str) -> GroupRecipe:

@@ -32,7 +32,9 @@ so they also hold under python -O.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import isqrt
 
 import numpy as np
@@ -49,21 +51,39 @@ class ClassCountError(Exception):
 
 @dataclass(frozen=True)
 class DegreeSpectrum:
-    """Sorted multiset of irreducible character degrees of a group."""
+    """The irreducible character degrees of a group, as (degree,
+    multiplicity) pairs in increasing degree: an abelian group of order n
+    has the one pair (1, n)."""
 
-    degrees: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
     group_order: int
 
     def __post_init__(self):
-        if self.degrees != tuple(sorted(self.degrees)):
-            raise InvariantError("degrees are not sorted")
-        total = sum(d * d for d in self.degrees)
+        degrees = [d for d, _ in self.pairs]
+        if not degrees or degrees[0] != 1:
+            raise InvariantError("the least degree is not the 1 of the trivial character")
+        if any(a >= b for a, b in zip(degrees, degrees[1:])):
+            raise InvariantError("degrees are not strictly increasing")
+        if any(m < 1 for _, m in self.pairs):
+            raise InvariantError("a multiplicity is not positive")
+        total = sum(m * d * d for d, m in self.pairs)
         if total != self.group_order:
             raise InvariantError(f"squared degrees sum to {total}, not {self.group_order}")
 
+    @property
+    def degrees(self) -> tuple[int, ...]:
+        """The degrees, sorted, each repeated by its multiplicity."""
+        return expand_pairs(self.pairs)
+
     def count(self, d: int) -> int:
         """Multiplicity of degree d in the spectrum."""
-        return sum(1 for x in self.degrees if x == d)
+        return dict(self.pairs).get(d, 0)
+
+
+def expand_pairs(pairs) -> tuple[int, ...]:
+    """The degrees of (degree, multiplicity) pairs, each repeated by its
+    multiplicity."""
+    return tuple(chain.from_iterable(repeat(d, m) for d, m in pairs))
 
 
 def choose_modulus(order: int, exponent: int, min_value: int = 0) -> int:
@@ -125,32 +145,41 @@ def _krylov(z: np.ndarray, R: np.ndarray, ell: int) -> tuple[np.ndarray, np.ndar
     """The Krylov rows z R^j, j = 0..r, where z R^r is the first to depend
     on those before it; the monic f of degree r (ascending coefficients)
     with z f(R) = 0; and r coordinates on which the first r rows are
-    independent.  The rows are the columns of A, eliminated until one has no
-    pivot: its pivot-row entries are then its coefficients over the others.
-    Only pivot rows and multipliers are reduced mod l, and the rest stays
-    below dim l^2."""
+    independent.
+
+    The rows are the columns of a Gauss-Jordan elimination, each formed
+    only once the ones before it have pivots.  Step t, at pivot p_t, maps a
+    column x to x - c_t y_t with y_t = x[p_t]/d_t put at p_t, where c_t is
+    column t as step t found it and d_t = c_t[p_t].  A new column x passes
+    every earlier step at once: y solves the lower triangular
+    (D + L) y = x[P] (L[t, s] = c_s[p_t] for s < t, D = diag d), whose
+    inverse G grows by a row per step, and with c_t[p_t] kept as d_t - 1
+    the column is then x - y C.  A column left without a pivot has its
+    coefficients over the earlier ones at P.  Every product of entries
+    below l is summed at most dim times, so stays below dim l^2.
+    """
     dim = len(z)
-    K = np.empty((dim + 1, dim), dtype=np.int64)
-    K[0] = z
-    for j in range(dim):
-        K[j + 1] = K[j] @ R % ell
-    A = K.T.copy()
+    C = np.zeros((dim, dim), dtype=np.int64)
+    G = np.zeros((dim, dim), dtype=np.int64)
     free = np.ones(dim, dtype=bool)
+    K = [z]
     rows: list[int] = []
-    for j in range(dim + 1):
-        c = A[:, j] % ell
+    while True:
+        j = len(rows)
+        x = K[j]
+        c = (x - (G[:j, :j] @ x[rows] % ell) @ C[:j]) % ell
         nz = (c * free).nonzero()[0]
         if len(nz) == 0:
-            break
+            return np.array(K), np.append(-c[rows] % ell, 1), rows
         p = int(nz[0])
-        row = A[p, j + 1 :] % ell * pow(int(c[p]), -1, ell) % ell
-        c[p] = 0
-        A[:, j + 1 :] -= c[:, None] * row
-        A[p, j + 1 :] = row
+        inv = pow(int(c[p]), -1, ell)
+        G[j, :j] = -inv * (C[:j, p] @ G[:j, :j] % ell) % ell
+        G[j, j] = inv
+        c[p] -= 1
+        C[j] = c
         rows.append(p)
         free[p] = False
-    f = np.append(-A[rows, len(rows)] % ell, 1)
-    return K[: len(f)], f, rows
+        K.append(K[j] @ R % ell)
 
 
 def _projectors(f: np.ndarray, lam: np.ndarray, ell: int) -> np.ndarray:
@@ -313,21 +342,25 @@ def dixon_degrees(cs: ClassStructure) -> DegreeSpectrum:
         raise InvariantError(f"no divisor of {order} lifts a degree mod {ell}")
     if len(degrees) != k:
         raise InvariantError(f"{len(degrees)} degrees for {k} classes")
-    degrees.sort()
-    return DegreeSpectrum(tuple(degrees), order)
+    return DegreeSpectrum(tuple(sorted(Counter(degrees).items())), order)
 
 
 def degree_spectrum(G: PermGroup) -> DegreeSpectrum:
-    """Spectrum of G: all ones for abelian groups; for several components,
-    which G is the direct product of, the pointwise product of their
-    spectra (Isaacs, Character Theory of Finite Groups, 4.21); and the
-    modular solver otherwise."""
+    """Spectrum of G: the one degree 1, |G| times, for abelian groups; for
+    several components, which G is the direct product of, the pointwise
+    product of their spectra (Isaacs, Character Theory of Finite Groups,
+    4.21), each component's group keeping the component and its chain (see
+    PermGroup.subgroup); and the modular solver otherwise."""
     if G.is_abelian():
-        return DegreeSpectrum((1,) * G.order, G.order)
+        return DegreeSpectrum(((1, G.order),), G.order)
     if len(G._components) > 1:
-        degrees = [1]
+        counts = Counter({1: 1})
         for comp in G._components:
-            sp = degree_spectrum(PermGroup(comp.gens, degree=G.degree))
-            degrees = [a * b for a in degrees for b in sp.degrees]
-        return DegreeSpectrum(tuple(sorted(degrees)), G.order)
+            pairs = degree_spectrum(G.subgroup([comp.gens])).pairs
+            product: Counter[int] = Counter()
+            for a, m in counts.items():
+                for b, n in pairs:
+                    product[a * b] += m * n
+            counts = product
+        return DegreeSpectrum(tuple(sorted(counts.items())), G.order)
     return dixon_degrees(conjugacy_classes(G))

@@ -56,9 +56,14 @@ def _points(base: int, exp: int = 1) -> int:
     past the cap is not formed: base >= 2 with exp >= 13 is past it."""
     n = min(base, MAX_POINTS + 1) ** min(exp, MAX_POINTS.bit_length())
     if n > MAX_POINTS:
-        shown = base if exp == 1 else f"{base}^{exp}"
-        raise ValueError(f"degree {shown} exceeds the {MAX_POINTS}-point cap")
+        raise past_the_point_cap(str(base) if exp == 1 else f"{base}^{exp}")
     return n
+
+
+def past_the_point_cap(degree: str) -> ValueError:
+    """The error that refuses a degree past MAX_POINTS, shown as written in
+    degree: every such refusal has this one wording."""
+    return ValueError(f"degree {degree} exceeds the {MAX_POINTS}-point cap")
 
 
 def orbit(start, maps, seen: set | None = None, limit: int | None = None) -> list:
@@ -84,18 +89,26 @@ def orbit(start, maps, seen: set | None = None, limit: int | None = None) -> lis
     return points
 
 
-def index_orbits(n: int, maps) -> tuple[np.ndarray, list[int]]:
-    """The orbits of range(n) under maps (callables on indices), numbered in
-    the order of their least points: the orbit number of every index, and
-    the least index of every orbit."""
-    orbit_id = np.empty(n, dtype=np.intp)
-    seen: set[int] = set()
+def index_orbits(n: int, maps: list[list[int]]) -> tuple[np.ndarray, list[int]]:
+    """The orbits of range(n) under maps (lists of indices, map i sending x
+    to maps[i][x]), numbered in the order of their least points: the orbit
+    number of every index, and the least index of every orbit.  The orbit
+    numbers, -1 until found, also mark the indices seen."""
+    orbit_id = [-1] * n
     least: list[int] = []
     for x in range(n):  # x is the least of its orbit when first unseen
-        if x not in seen:
-            orbit_id[orbit(x, maps, seen)] = len(least)
+        if orbit_id[x] < 0:
+            k = len(least)
             least.append(x)
-    return orbit_id, least
+            orbit_id[x] = k
+            points = [x]
+            for y in points:  # the list grows while it is walked
+                for m in maps:
+                    z = m[y]
+                    if orbit_id[z] < 0:
+                        orbit_id[z] = k
+                        points.append(z)
+    return np.array(orbit_id, dtype=np.intp), least
 
 
 class _Level:
@@ -237,21 +250,34 @@ def _schreier_sims(
 
 
 class _Component:
-    """Generators whose supports form one connected block.
+    """Generators whose support, the points they move, no other component
+    of the group moves; it is found on first use when not given.
 
     A single generator g generates a cyclic group, whose order (the order
-    of g) is worked out once, here, and whose membership test walks the
-    cycles of g; its chain, like any other, is built on first use.
+    of g, unless given) is worked out on first use, and whose membership
+    test walks the cycles of g; its chain, like any other, is built on
+    first use.
     """
 
-    __slots__ = ("gens", "support", "_levels", "_cyclic_order", "_abelian")
+    __slots__ = ("gens", "_support", "_levels", "_cyclic_order", "_abelian")
 
-    def __init__(self, gens: list[Perm], support: frozenset[int]):
+    def __init__(
+        self,
+        gens: list[Perm],
+        support: frozenset[int] | None = None,
+        cyclic_order: int | None = None,
+    ):
         self.gens = gens
-        self.support = support
+        self._support = support
         self._levels: list[_Level] | None = None
-        self._cyclic_order = perm_order(gens[0]) if len(gens) == 1 else None
+        self._cyclic_order = cyclic_order
         self._abelian: bool | None = None
+
+    @property
+    def support(self) -> frozenset[int]:
+        if self._support is None:
+            self._support = frozenset().union(*map(_moved_points, self.gens))
+        return self._support
 
     @property
     def is_cyclic_shortcut(self) -> bool:
@@ -259,6 +285,8 @@ class _Component:
 
     def order(self) -> int:
         if self.is_cyclic_shortcut:
+            if self._cyclic_order is None:
+                self._cyclic_order = perm_order(self.gens[0])
             return self._cyclic_order
         return _chain_order(self.levels())
 
@@ -295,7 +323,7 @@ class _Component:
                 orbit_len += 1
             candidate = perm_power(g, k)
             step = perm_power(g, orbit_len)
-            for _ in range(self._cyclic_order // orbit_len):
+            for _ in range(self.order() // orbit_len):
                 if all(candidate[i] == p[i] for i in self.support):
                     return True
                 candidate = mult(candidate, step)
@@ -376,9 +404,13 @@ def _coordinate_products(factors: list[np.ndarray], degree: int) -> np.ndarray:
     return products
 
 
+def _moved_points(g: Perm) -> frozenset[int]:
+    return frozenset(i for i, j in enumerate(g) if i != j)
+
+
 def _split_components(gens: list[Perm]) -> list[_Component]:
     """Partition generators into support-connected components."""
-    supports = [frozenset(i for i, j in enumerate(g) if i != j) for g in gens]
+    supports = [_moved_points(g) for g in gens]
     remaining = list(range(len(gens)))
     components = []
     while remaining:
@@ -398,7 +430,12 @@ def _split_components(gens: list[Perm]) -> list[_Component]:
 
 
 class PermGroup:
-    """Group generated by permutations, all of the same degree."""
+    """Group generated by permutations, all of the same degree.
+
+    Outside input is checked and split into components by the constructor;
+    a subgroup built from elements of a group takes that group's split
+    (see subgroup).  Both end in _assemble.
+    """
 
     def __init__(self, generators, degree: int | None = None):
         gens: list[Perm] = []
@@ -414,15 +451,44 @@ class PermGroup:
         _points(degree)
         if any(len(g) != degree for g in gens):
             raise ValueError("generators act on different point sets")
+        self._assemble(degree, gens, _split_components(gens))
+
+    def _assemble(self, degree: int, gens: list[Perm], components: list[_Component]) -> None:
         self.degree = degree
         self.generators = tuple(gens)
-        self._components = _split_components(gens)
-        moved = frozenset().union(*(comp.support for comp in self._components))
-        self._fixed_points = tuple(i for i in range(degree) if i not in moved)
+        self._components = components
+        self._fixed_points: tuple[int, ...] | None = None
         self._order: int | None = None
         self._elements: np.ndarray | None = None
         self._index: ChainIndex | None = None
         self._abelian: bool | None = None
+
+    def subgroup(
+        self, parts: list[list[Perm]], orders: list[int | None] | None = None
+    ) -> PermGroup:
+        """The subgroup generated by parts, lists of elements of this group
+        (products of its checked generators, so neither checked nor split
+        again), different parts moving the points of different components.
+
+        Each part, less identities and repeats, is one component of the
+        subgroup, since components need only move disjoint points; a part
+        that is a component's generator list keeps that component, chain
+        and all.  orders[i], when given, is the order of the group part i
+        generates, which a one-generator part takes rather than walking
+        its cycles.  The generators are the parts' elements, in order.
+        """
+        components: list[_Component] = []
+        for part, order in zip(parts, orders or [None] * len(parts), strict=True):
+            gens = list(dict.fromkeys(g for g in part if not is_identity(g)))
+            if not gens:
+                continue
+            kept = next((comp for comp in self._components if comp.gens == gens), None)
+            if kept is None:
+                kept = _Component(gens, cyclic_order=order if len(gens) == 1 else None)
+            components.append(kept)
+        H = PermGroup.__new__(PermGroup)
+        H._assemble(self.degree, [g for comp in components for g in comp.gens], components)
+        return H
 
     @property
     def order(self) -> int:
@@ -444,6 +510,9 @@ class PermGroup:
         p = tuple(p)
         if len(p) != self.degree:
             return False
+        if self._fixed_points is None:
+            moved = frozenset().union(*(comp.support for comp in self._components))
+            self._fixed_points = tuple(i for i in range(self.degree) if i not in moved)
         if any(p[i] != i for i in self._fixed_points):
             return False
         return all(comp.contains(p) for comp in self._components)
@@ -625,7 +694,7 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
         index.find(np.array(g, dtype=POINT_DTYPE)[elements[:, [h[b] for b in base]]], "a conjugate")
         for g, h in zip(G.generators, inverses)
     ]
-    class_id, rows = index_orbits(n, [c.tolist().__getitem__ for c in conjugations])
+    class_id, rows = index_orbits(n, [c.tolist() for c in conjugations])
     sizes = np.bincount(class_id, minlength=len(rows)).tolist()
     reps = list(map(tuple, elements[rows].tolist()))
     inverse_images = np.array([[v[b] for b in base] for v in map(inverse, reps)], dtype=POINT_DTYPE)

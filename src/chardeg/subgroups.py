@@ -1,7 +1,17 @@
 """Subgroup constructions inside a permutation group.
 
 Everything here returns either a plain PermGroup acting on the same points
-as the parent, or a SubgroupHandle wrapping such a PermGroup.
+as the parent, or a SubgroupHandle wrapping such a PermGroup; only
+quotient_group returns a group on other points, the cosets.
+
+Subgroups are built with PermGroup.subgroup from elements of the parent,
+which are products of its checked generators, so they are neither checked
+as permutations nor split into components again: the elements that lie in
+different components of the parent are handed on as different parts, a
+part that is a whole component keeps that component and its chain, and a
+one-generator part g^m of a component <g> takes its order o(g)/gcd(o(g), m)
+rather than walking its cycles.
+
 Deterministic behaviour matters: fallbacks enumerate elements in the order
 of their chain coordinates, and randomized searches take an explicit seed.
 """
@@ -50,10 +60,25 @@ class SubgroupHandle:
 
 def subgroup(parent: PermGroup, gens) -> SubgroupHandle:
     """The subgroup of parent that the given elements generate."""
-    gens = list(gens)
+    gens = [tuple(g) for g in gens]
     if not all(parent.contains(g) for g in gens):
         raise ValueError("subgroup generated by elements outside the group")
-    return SubgroupHandle(PermGroup(gens, degree=parent.degree))
+    return SubgroupHandle(parent.subgroup(_by_components(parent, gens)))
+
+
+def _by_components(G: PermGroup, elements: list[Perm]) -> list[list[Perm]]:
+    """Elements of G in parts for G.subgroup: an element joins the part of
+    the components of G whose points it moves, and one that moves points of
+    several components merges their parts."""
+    parts: list[tuple[set[int], list[Perm]]] = []
+    for g in elements:
+        touched = {j for j, c in enumerate(G._components) if any(g[i] != i for i in c.support)}
+        merged = [part for part in parts if part[0] & touched]
+        for part in merged:
+            parts.remove(part)
+            touched |= part[0]
+        parts.append((touched, [x for _, gens in merged for x in gens] + [g]))
+    return [gens for _, gens in parts]
 
 
 def _extend_chain(levels: list[_Level], g: Perm, degree: int, stop_at: int | None = None) -> bool:
@@ -84,7 +109,7 @@ def normal_closure(G: PermGroup, gens) -> PermGroup:
     # the generators PermGroup(gens) keeps, in its order
     todo = list(dict.fromkeys(g for g in map(tuple, gens) if not is_identity(g)))
     if len(todo) == 1:  # <k> is normal when its conjugates lie in it
-        K = PermGroup(todo, degree=G.degree)
+        K = G.subgroup([todo])
         if all(K.contains(conjugate(todo[0], g)) for g in G.generators):
             return G if K.order == G.order else K
     levels = _schreier_sims(todo, G.degree, stop_at=G.order)
@@ -97,7 +122,7 @@ def normal_closure(G: PermGroup, gens) -> PermGroup:
                 if _chain_order(levels) >= G.order:
                     return G
                 todo.append(c)
-    K = PermGroup(todo, degree=G.degree)
+    K = G.subgroup(_by_components(G, todo))
     K.adopt_chain(levels)
     return K
 
@@ -135,12 +160,18 @@ def _p_parts(n: int, p: int) -> tuple[int, int]:
 def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
     """A Sylow p-subgroup of G: the product of one Sylow p-subgroup of each
     component of G, since the components commute and move disjoint points
-    (see _component_sylow)."""
+    (see _component_sylow).  Each is one part of G.subgroup, with the
+    p-part of its component's order as its order: for a one-generator
+    component <g> the part is g^m, m the p'-part of o(g), whose order
+    o(g)/gcd(o(g), m) is that p-part, so no cycles of g^m are walked."""
     pp, _ = _p_parts(G.order, p)
     if pp == G.order:
         return SubgroupHandle(G)
-    gens = [x for comp in G._components for x in _component_sylow(comp, p, seed)]
-    P = PermGroup(gens, degree=G.degree)
+    components = G._components
+    P = G.subgroup(
+        [_component_sylow(comp, p, seed) for comp in components],
+        [_p_parts(comp.order(), p)[0] for comp in components],
+    )
     if P.order != pp:
         raise InvariantError(f"Sylow {p}-subgroup has order {P.order}, not {pp}")
     return SubgroupHandle(P)
@@ -245,7 +276,7 @@ def quotient_group(G: PermGroup, N: SubgroupHandle) -> PermGroup:
     elements, chain = G.elements(), G.chain_index()
     base, images = list(G.base()), chain.images
     by_n = [
-        chain.find(np.array(n, dtype=POINT_DTYPE)[images], "a coset member").tolist().__getitem__
+        chain.find(np.array(n, dtype=POINT_DTYPE)[images], "a coset member").tolist()
         for n in NG.generators
     ]
     coset_of, reps = index_orbits(len(elements), by_n)
@@ -287,7 +318,7 @@ def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
             members += 1
             if _extend_chain(levels, g, G.degree):
                 gens.append(g)
-    N = PermGroup(gens, degree=G.degree)
+    N = G.subgroup(_by_components(G, gens))
     N.adopt_chain(levels)
     if N.order != members:
         raise InvariantError(f"normalizer has order {N.order}, not {members}")

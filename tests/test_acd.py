@@ -1,5 +1,6 @@
 """Tests for the prime-restricted average character degree and thresholds."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from chardeg.acd import (
     irr_p_degrees,
     make_acd_report,
 )
-from chardeg.dixon import DegreeSpectrum, degree_spectrum
+from chardeg.dixon import DegreeSpectrum, degree_spectrum, expand_pairs
 from chardeg.numbers import is_prime, is_prime_power
 from chardeg.subgroups import is_solvable, p_residual
 
@@ -29,10 +30,10 @@ def spectrum(spec):
 
 def test_irr_p_degrees():
     a5 = spectrum("alt:5")  # degrees (1, 3, 3, 4, 5)
-    assert irr_p_degrees(a5, 2) == (1, 4)
-    assert irr_p_degrees(a5, 3) == (1, 3, 3)
-    assert irr_p_degrees(a5, 5) == (1, 5)
-    assert irr_p_degrees(a5, 7) == (1,)
+    assert irr_p_degrees(a5, 2) == ((1, 1), (4, 1))
+    assert irr_p_degrees(a5, 3) == ((1, 1), (3, 2))
+    assert irr_p_degrees(a5, 5) == ((1, 1), (5, 1))
+    assert irr_p_degrees(a5, 7) == ((1, 1),)
 
 
 def test_n_d():
@@ -161,9 +162,9 @@ def test_acd_one_when_p_does_not_divide_order():
     st.sampled_from([2, 3, 5, 7, 11]),
 )
 def test_acd_bounds_property(extra_degrees, p):
-    degrees = tuple(sorted([1] + extra_degrees))
-    sp = DegreeSpectrum(degrees, sum(d * d for d in degrees))
-    relevant = irr_p_degrees(sp, p)
+    degrees = [1] + extra_degrees
+    sp = DegreeSpectrum(tuple(sorted(Counter(degrees).items())), sum(d * d for d in degrees))
+    relevant = expand_pairs(irr_p_degrees(sp, p))
     acd = acd_p(sp, p)
     assert 1 <= acd <= max(relevant)
     nonlinear = [d for d in relevant if d > 1]
@@ -171,6 +172,22 @@ def test_acd_bounds_property(extra_degrees, p):
         assert d % p == 0 and d >= p
     if not nonlinear:
         assert acd == 1
+
+
+@settings(max_examples=150, derandomize=True)
+@given(
+    st.integers(min_value=1, max_value=5000),
+    st.dictionaries(
+        st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=200), max_size=8
+    ),
+    st.sampled_from(PRIMES_TO_100),
+)
+def test_acd_p_on_pairs_is_the_mean_of_the_expanded_irr_p_degrees(linear, nonlinear, p):
+    pairs = ((1, linear), *sorted(nonlinear.items()))
+    sp = DegreeSpectrum(pairs, sum(m * d * d for d, m in pairs))
+    expanded = expand_pairs(irr_p_degrees(sp, p))
+    assert expanded == tuple(d for d in sp.degrees if d == 1 or d % p == 0)
+    assert acd_p(sp, p) == Fraction(sum(expanded), len(expanded))
 
 
 @pytest.mark.parametrize("p", [p for p in range(17, 54) if is_prime(p)])

@@ -64,6 +64,11 @@ def test_table_rejects_bad_spec(capsys):
         # r^m is not formed, so no 4,772-digit degree is printed
         (["table", "frob:3:10000:2"], "degree 3^10000 exceeds the 4096-point cap"),
         (["table", "agl1:4099"], "degree 4099 exceeds the 4096-point cap"),
+        # past the 4300 digits Python converts, refused all the same
+        (["table", "cyclic:" + "9" * 5000], "degree 99999999... (5000 digits) exceeds the 4096"),
+        (["table", "frob:3:" + "1" * 5000 + ":2"], "(5000 digits) exceeds the 4096-point cap"),
+        # leading zeros do not count toward a numeral's length
+        (["table", "cyclic:" + "0" * 5000 + "4097"], "degree 4097 exceeds the 4096-point cap"),
     ],
 )
 def test_library_errors_are_one_line(capsys, argv, message):
@@ -72,6 +77,12 @@ def test_library_errors_are_one_line(capsys, argv, message):
     assert out == ""
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+def test_leading_zeros_do_not_lengthen_a_numeral(capsys):
+    code, out, _ = run_cli(capsys, "table", "cyclic:" + "0" * 5000 + "5", "--json")
+    assert code == 0
+    assert json.loads(out)["degrees"] == [1] * 5
 
 
 @pytest.mark.parametrize(

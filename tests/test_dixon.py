@@ -24,6 +24,7 @@ from chardeg.dixon import (
     _distinct_roots,
     _krylov,
     _projectors,
+    _rref,
     _split,
     choose_modulus,
     degree_spectrum,
@@ -44,12 +45,31 @@ def spectrum(spec: str) -> tuple[int, ...]:
 
 
 def test_degree_spectrum_invariants_enforced():
-    with pytest.raises(InvariantError):
-        DegreeSpectrum((1, 2), 6)
-    with pytest.raises(InvariantError):
-        DegreeSpectrum((3, 1), 10)
-    sp = DegreeSpectrum((1, 1, 2), 6)
+    with pytest.raises(InvariantError, match="sum to 2, not 6"):
+        DegreeSpectrum(((1, 2),), 6)
+    with pytest.raises(InvariantError, match="not strictly increasing"):
+        DegreeSpectrum(((1, 1), (3, 1), (2, 1)), 14)
+    with pytest.raises(InvariantError, match="not strictly increasing"):
+        DegreeSpectrum(((1, 1), (3, 1), (3, 1)), 19)
+    with pytest.raises(InvariantError, match="multiplicity is not positive"):
+        DegreeSpectrum(((1, 6), (2, 0)), 6)
+    sp = DegreeSpectrum(((1, 2), (2, 1)), 6)
     assert sp.count(1) == 2 and sp.count(2) == 1 and sp.count(3) == 0
+    assert sp.degrees == (1, 1, 2)
+
+
+def test_degree_spectrum_requires_the_trivial_character():
+    # the squares sum to the order, but no character has degree 1
+    with pytest.raises(InvariantError, match="least degree is not the 1"):
+        DegreeSpectrum(((2, 1),), 4)
+    with pytest.raises(InvariantError, match="least degree is not the 1"):
+        DegreeSpectrum((), 0)
+
+
+def test_abelian_spectrum_is_one_pair():
+    G = group_of("cyclic:2xcyclic:1000")
+    sp = degree_spectrum(G)
+    assert sp.pairs == ((1, 2000),) and sp.count(1) == 2000
 
 
 def test_choose_modulus():
@@ -290,6 +310,29 @@ def test_identity_component_finds_every_eigenvalue():
     assert spectrum("extraspecial:5") == (1,) * 25 + (5,) * 4
 
 
+def test_krylov_forms_rows_only_up_to_the_first_dependency():
+    products = []
+
+    class Counting(np.ndarray):
+        """Counts the products it takes part in."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                products.append(ufunc)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    # e_0's minimal polynomial under this 29 x 29 class matrix has degree 5
+    R, ell = first_class_action("extraspecial:5")
+    K, f, rows = _krylov(unit_row(29), R.view(Counting), ell)
+    assert len(f) == 6 and len(rows) == 5
+    assert len(products) == 5  # z R, .., z R^5, not all 29
+    assert K.shape == (6, 29) and type(K) is np.ndarray
+    for j in range(5):
+        assert np.array_equal(K[j + 1], K[j] @ R % ell)
+    assert not (f @ K % ell).any()  # z f(R) = 0
+    assert len(_rref(K[:5][:, rows], ell)[1]) == 5  # independent on rows
+
+
 def test_dihedral_295_closed_form():
     assert spectrum("dihedral:295") == (1, 1) + (2,) * 147
 
@@ -521,7 +564,7 @@ def test_invariants_hold_under_optimize():
             "from chardeg.numbers import InvariantError",
             "assert not __debug__",
             "try:",
-            "    DegreeSpectrum((3, 1), 5)",
+            "    DegreeSpectrum(((1, 1), (3, 1), (2, 1)), 14)",
             "except InvariantError:",
             "    pass",
             "else:",

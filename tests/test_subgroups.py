@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from chardeg import constructions, groups, subgroups
 from chardeg.constructions import iter_catalog
+from chardeg.dixon import degree_spectrum
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
 from chardeg.perms import (
@@ -609,3 +610,101 @@ def test_normalizer_keeps_only_generators_that_grow_it(spec):
     N = normalizer(G, sylow(G, 2)).group
     assert len(N.generators) <= N.order.bit_length()
     assert N.order == {"cyclic:1200": 1200, "dihedral:600": 16, "sym:4": 8}[spec]
+
+
+def record_subgroups(monkeypatch) -> list:
+    """Record (parent, parts, subgroup) for every PermGroup.subgroup call."""
+    made = []
+    construct = PermGroup.subgroup
+
+    def recording(self, parts, orders=None):
+        H = construct(self, parts, orders)
+        made.append((self, [list(part) for part in parts], H))
+        return H
+
+    monkeypatch.setattr(PermGroup, "subgroup", recording)
+    return made
+
+
+def test_subgroups_built_from_parts_agree_with_their_generators_as_input(monkeypatch):
+    """Every subgroup the constructor builds over iter_catalog(300) has the
+    order, generators, commutativity and members of PermGroup(gens), gens
+    its parts' elements in order."""
+    made = record_subgroups(monkeypatch)
+    for r in iter_catalog(300):
+        G = group_of(r.spec)
+        degree_spectrum(G)
+        derived_subgroup(G)
+        for p in prime_divisors(G.order):
+            P = sylow(G, p)
+            p_residual(G, p, sylow_handle=P)
+            if G.order <= 120 and not G.is_abelian():
+                normalizer(G, P)
+    rng = random.Random(23)
+    members = outsiders = 0
+    for G, parts, H in made:
+        R = PermGroup([g for part in parts for g in part], degree=G.degree)
+        assert (H.order, H.generators, H.is_abelian()) == (R.order, R.generators, R.is_abelian())
+        for _ in range(3):
+            h = random_element(H, rng)
+            assert H.contains(h) and R.contains(h)
+            g = random_element(G, rng)
+            inside = R.contains(g)
+            assert H.contains(g) == inside
+            members += inside
+            outsiders += not inside
+    assert len(made) > 2000 and members and outsiders > 1000
+
+
+@pytest.mark.parametrize("spec", ["sym:3xcyclic:4", "dihedral:12"])
+def test_subgroups_are_neither_checked_nor_split_again(spec, monkeypatch):
+    G = group_of(spec)
+
+    def refuse(*args):
+        raise AssertionError("a subgroup went through the outside-input checks")
+
+    monkeypatch.setattr(groups, "check_bijection", refuse)
+    monkeypatch.setattr(groups, "_split_components", refuse)
+    assert sum(m * d * d for d, m in degree_spectrum(G).pairs) == G.order
+    assert derived_subgroup(G).group.order in (3, 6)
+    for p in prime_divisors(G.order):
+        P = sylow(G, p)
+        assert P.group.order == p ** factorize(G.order).count(p)
+        assert p_residual(G, p, sylow_handle=P).group.order % P.group.order == 0
+
+
+def test_a_sylow_part_of_a_cyclic_component_walks_no_cycles(monkeypatch):
+    G = group_of("cyclic:2xcyclic:1000")
+    G.order
+    monkeypatch.setattr(groups, "perm_order", lambda g: pytest.fail("cycles walked"))
+    for p, order in [(2, 16), (5, 125)]:
+        P = sylow(G, p).group
+        assert P.order == order
+        # each part g^m of <g> has order o(g)/gcd(o(g), m)
+        assert [comp.order() for comp in P._components] == ([2, 8] if p == 2 else [125])
+
+
+def test_a_whole_component_keeps_its_chain(monkeypatch):
+    G = group_of("sym:4xcyclic:6")
+    S4 = G._components[0]
+    levels = S4.levels()
+    made = record_subgroups(monkeypatch)
+    degree_spectrum(G)
+    assert [H._components for _, _, H in made] == [[comp] for comp in G._components]
+    assert made[0][2]._components[0].levels() is levels
+
+
+def test_normal_closure_merges_the_components_an_element_spans():
+    G = group_of("sym:3xsym:3")  # points 0..2 and 3..5
+    x = from_cycles([(0, 1), (3, 4)], 6)
+    K = normal_closure(G, [x])
+    # A_3 x A_3 with the diagonal transpositions
+    assert K.order == 18 == PermGroup(K.generators, degree=6).order
+    assert len(K._components) == 1 and K._components[0].support == frozenset(range(6))
+    assert K.contains(x) and not K.contains(from_cycles([(0, 1)], 6))
+    assert subgroup(G, [x]).group.order == 2
+    # a later element that spans both merges the parts of the earlier ones
+    a, b = from_cycles([(0, 1, 2)], 6), from_cycles([(3, 4, 5)], 6)
+    assert subgroups._by_components(G, [a, b]) == [[a], [b]]
+    assert subgroups._by_components(G, [a, b, x]) == [[a, b, x]]
+    assert normal_closure(G, [a, b, x]).order == 18
