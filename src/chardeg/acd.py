@@ -13,14 +13,9 @@ from fractions import Fraction
 from functools import cache
 
 from .dixon import DegreeSpectrum, expand_pairs
-from .numbers import is_prime, is_prime_power
+from .numbers import _require_prime, is_prime_power
 
 ELL_SEARCH_CAP = 10**6
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not a prime")
 
 
 def irr_p_degrees(spectrum: DegreeSpectrum, p: int) -> tuple[tuple[int, int], ...]:
@@ -47,12 +42,14 @@ def ell(p: int) -> int:
     raise RuntimeError(f"no multiplier below {ELL_SEARCH_CAP} for p = {p}")
 
 
+@cache
 def b_p(p: int) -> Fraction:
     """Sylow-normality threshold 2*l*p / (l*p + 1) with l = ell(p)."""
     lp = ell(p) * p
     return Fraction(2 * lp, lp + 1)
 
 
+@cache
 def a_p(p: int) -> Fraction:
     """Solvability threshold: 5/2 at p = 2, 7/3 at p = 3, else (p + 1)/2."""
     _require_prime(p)

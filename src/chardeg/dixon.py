@@ -260,13 +260,12 @@ class _ClassMatrixBuilder:
 
     def __init__(self, cs: ClassStructure):
         self.cs = cs
-        by_class = np.argsort(cs.class_id, kind="stable")
-        self.member_images = np.split(cs.index.images[by_class], np.cumsum(cs.sizes)[:-1])
         self.reps = np.array(cs.reps, dtype=POINT_DTYPE)
 
     def matrix(self, i: int) -> np.ndarray:
         k = len(self.cs.reps)
-        X = self.member_images[self.cs.inverse_class[i]]
+        # the base images of the members of the class inverse to i
+        X = self.cs.index.images[self.cs.class_id == self.cs.inverse_class[i]]
         products = self.cs.index.find(self.reps[:, X], "a product").ravel()
         column = np.repeat(np.arange(k), len(X))
         return np.bincount(self.cs.class_id[products] * k + column, minlength=k * k).reshape(k, k)
@@ -275,19 +274,25 @@ class _ClassMatrixBuilder:
 def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[_Block]:
     """The lines spanned by the central characters mod l, each in reduced
     echelon form with its identity component, found by intersecting
-    eigenspaces class by class from the whole space and e_0.  A block on
-    which a class is the scalar its column predicts is kept whole."""
+    eigenspaces class by class from the whole space and e_0.  Once per
+    split, the open blocks decide which classes can still split anything:
+    those with a nonzero column below some block's first row.  The class
+    loop builds the matrices of those alone, and a block on which a built
+    class is the scalar its column predicts is kept whole."""
     k = len(cs.reps)
     builder = _ClassMatrixBuilder(cs)
     eye = np.eye(k, dtype=np.int64)
     spaces: list[_Block] = [(eye, list(range(k)), eye[0])]
+    splitting = None  # the classes that split some open block, once per split
     for i in sorted(range(1, k), key=lambda i: (cs.sizes[i], i)):
-        open_blocks = [(B, pivots) for B, pivots, _ in spaces if B.shape[0] > 1]
-        if not open_blocks:
-            break
-        if any(pivots[0] != 0 for _, pivots in open_blocks):
-            raise InvariantError("open block does not pivot on the identity class")
-        if not any(B[1:, i].any() for B, _ in open_blocks):
+        if splitting is None:
+            open_blocks = [(B, pivots) for B, pivots, _ in spaces if B.shape[0] > 1]
+            if not open_blocks:
+                break
+            if any(pivots[0] != 0 for _, pivots in open_blocks):
+                raise InvariantError("open block does not pivot on the identity class")
+            splitting = np.logical_or.reduce([B[1:].any(axis=0) for B, _ in open_blocks]).tolist()
+        if not splitting[i]:
             continue
         At = builder.matrix(i).T % ell
         next_spaces: list[_Block] = []
@@ -310,6 +315,7 @@ def _common_eigenspaces(cs: ClassStructure, ell: int) -> list[_Block]:
                 raise InvariantError("class is not the scalar its column predicts")
             next_spaces.append((B, pivots, z))
         spaces = next_spaces
+        splitting = None
     if any(B.shape[0] != 1 for B, _, _ in spaces):
         raise InvariantError("splitting incomplete")
     return spaces

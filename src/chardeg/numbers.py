@@ -57,6 +57,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
+
+
 def _integer_root(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 1 (integer Newton iteration from above)."""
     x = 1 << -(-n.bit_length() // k)

@@ -38,7 +38,7 @@ from .groups import (
     index_orbits,
     orbit,
 )
-from .numbers import InvariantError
+from .numbers import InvariantError, _require_prime
 from .perms import (
     Perm,
     commutator,
@@ -163,7 +163,9 @@ def sylow(G: PermGroup, p: int, seed: int = 0) -> SubgroupHandle:
     (see _component_sylow).  Each is one part of G.subgroup, with the
     p-part of its component's order as its order: for a one-generator
     component <g> the part is g^m, m the p'-part of o(g), whose order
-    o(g)/gcd(o(g), m) is that p-part, so no cycles of g^m are walked."""
+    o(g)/gcd(o(g), m) is that p-part, so no cycles of g^m are walked.
+    A p that is not a prime is refused with a ValueError."""
+    _require_prime(p)
     pp, _ = _p_parts(G.order, p)
     if pp == G.order:
         return SubgroupHandle(G)
@@ -246,9 +248,13 @@ def p_residual(
     G: PermGroup, p: int, seed: int = 0, sylow_handle: SubgroupHandle | None = None
 ) -> SubgroupHandle:
     """Smallest normal subgroup whose quotient has order coprime to p: the
-    normal closure of a Sylow p-subgroup."""
+    normal closure of a Sylow p-subgroup P.  A normal P, as in every
+    abelian G, is its own closure and is returned as it is; only a
+    non-normal P has its closure built.  A p that is not a prime is
+    refused with a ValueError."""
+    _require_prime(p)
     P = sylow_handle if sylow_handle is not None else sylow(G, p, seed=seed)
-    if G.is_abelian():
+    if is_normal(G, P):
         return P
     return SubgroupHandle(normal_closure(G, P.group.generators))
 

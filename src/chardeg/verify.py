@@ -107,6 +107,9 @@ class GroupFacts:
     The spectrum and the split data come with G.  The Sylow p-subgroups and
     their normality, acd_p, G' and whether G is solvable, the quotient
     spectra and the dual orbit sizes are computed on first use and kept.
+    The p-residual O^{p'}(G) is read from the kept Sylow normality: a
+    normal Sylow p-subgroup is its own p-residual, so a normal closure is
+    built only for a Sylow that is not normal.
     """
 
     group_id: str
@@ -133,6 +136,10 @@ class GroupFacts:
 
     def sylow_normal(self, p: int) -> bool:
         return self._once(("sylow-normal", p), lambda: is_normal(self.G, self.sylow(p)))
+
+    def p_residual(self, p: int) -> SubgroupHandle:
+        P = self.sylow(p)
+        return P if self.sylow_normal(p) else p_residual(self.G, p, sylow_handle=P)
 
     @cached_property
     def derived(self) -> SubgroupHandle:
@@ -184,7 +191,7 @@ def check_p_residual_solvable(facts: GroupFacts, p: int) -> CheckOutcome:
     """acd_p below a_p forces the p-residual O^{p'}(G) to be solvable."""
     acd = facts.acd(p)
     threshold = a_p(p)
-    residual = p_residual(facts.G, p, sylow_handle=facts.sylow(p)).group
+    residual = facts.p_residual(p).group
     # a subgroup of a solvable group is solvable
     solvable = facts.solvable or (residual.order < facts.G.order and is_solvable(residual))
     return CheckOutcome(
@@ -229,7 +236,8 @@ def check_quotient_monotonicity(facts: GroupFacts, N: SubgroupHandle, p: int) ->
     if quotient_spectrum is None:
         return None
     acd = facts.acd(p)
-    acd_quotient = acd_p(quotient_spectrum, p)
+    # a trivial N gives G's own spectrum, whose acd_p is in the memo
+    acd_quotient = acd if quotient_spectrum is facts.spectrum else acd_p(quotient_spectrum, p)
     # N lies inside G', so it is G' exactly when the orders agree
     label = "derived-subgroup" if N.group.order == facts.derived.group.order else "subgroup"
     return CheckOutcome(

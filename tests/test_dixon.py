@@ -376,6 +376,69 @@ def test_final_lines_match_the_kernel_reference_over_the_catalog():
         assert_final_lines_match_the_kernel_reference(conjugacy_classes(G))
 
 
+def classes_that_split_open_blocks(cs, ell) -> list[int]:
+    """Reference class loop: in the solver's class order, class i is built
+    when some open block has a nonzero B[1:, i], the blocks split as the
+    solver splits them, and the loop ends when no block is open."""
+    k = len(cs.reps)
+    builder = _ClassMatrixBuilder(cs)
+    eye = np.eye(k, dtype=np.int64)
+    spaces = [(eye, list(range(k)), eye[0])]
+    built = []
+    for i in sorted(range(1, k), key=lambda i: (cs.sizes[i], i)):
+        open_blocks = [B for B, _, _ in spaces if B.shape[0] > 1]
+        if not open_blocks:
+            break
+        if not any(B[1:, i].any() for B in open_blocks):
+            continue
+        built.append(i)
+        At = builder.matrix(i).T % ell
+        next_spaces = []
+        for B, pivots, z in spaces:
+            if B[1:, i].any():
+                next_spaces.extend(_split(B, pivots, z, (B @ At % ell)[:, pivots], ell))
+            else:
+                next_spaces.append((B, pivots, z))
+        spaces = next_spaces
+    return built
+
+
+# the groups of the benchmark's solver-wide workload
+SOLVER_WIDE = ["dihedral:295", "dihedral:250", "dihedral:200", "agl1:27", "frob:43:1:42", "extraspecial:5"]
+
+
+def test_the_splitting_loop_builds_the_classes_the_open_blocks_call_for(monkeypatch):
+    """The class matrices _common_eigenspaces builds, for every solve over
+    the nonabelian groups of iter_catalog(150) (each component of a product
+    solved on its own) and the solver-wide groups, are those the reference
+    loop builds, in its order."""
+    solves = []
+    common, matrix = dixon._common_eigenspaces, _ClassMatrixBuilder.matrix
+
+    def recording_common(cs, ell):
+        solves.append((cs, ell, []))
+        return common(cs, ell)
+
+    def recording_matrix(self, i):
+        solves[-1][2].append(i)
+        return matrix(self, i)
+
+    monkeypatch.setattr(dixon, "_common_eigenspaces", recording_common)
+    monkeypatch.setattr(_ClassMatrixBuilder, "matrix", recording_matrix)
+    for recipe in iter_catalog(150):
+        G = build(recipe).group
+        if not G.is_abelian():
+            degree_spectrum(G)
+    catalog_solves = len(solves)
+    for spec in SOLVER_WIDE:
+        degree_spectrum(group_of(spec))
+    monkeypatch.undo()
+    assert catalog_solves > 100 and len(solves) == catalog_solves + len(SOLVER_WIDE)
+    for cs, ell, built in solves:
+        assert built == classes_that_split_open_blocks(cs, ell)
+    assert sum(len(built) for _, _, built in solves[:catalog_solves]) == 412
+
+
 def test_open_block_must_pivot_on_the_identity_class(monkeypatch):
     # dropping the leading row of the 25-dimensional block of 5^{1+2}
     # leaves a block whose first pivot is not column 0

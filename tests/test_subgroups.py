@@ -300,6 +300,42 @@ def test_p_residual_is_normal_with_coprime_quotient():
         assert R.group.order % p == 0 or R.group.order == 1
 
 
+def test_p_residual_is_the_sylow_exactly_when_it_is_normal():
+    """Over iter_catalog(300): a normal Sylow p-subgroup is returned as its
+    own p-residual, and a non-normal one gives the group its normal closure
+    gives, by order and by sampled members of each."""
+    rng = random.Random(24)
+    closures = 0
+    for r in iter_catalog(300):
+        G = group_of(r.spec)
+        for p in prime_divisors(G.order):
+            P = sylow(G, p)
+            R = p_residual(G, p, sylow_handle=P)
+            assert (R is P) == is_normal(G, P), (r.spec, p)
+            if R is P:
+                continue
+            closures += 1
+            K = normal_closure(G, P.group.generators)
+            assert R.group.order == K.order, (r.spec, p)
+            for _ in range(3):
+                assert K.contains(random_element(R.group, rng))
+                assert R.group.contains(random_element(K, rng))
+    assert closures > 100
+
+
+@pytest.mark.parametrize("p", [4, 6, 0, -2, 1])
+def test_sylow_and_p_residual_refuse_a_p_that_is_not_prime(p, monkeypatch):
+    # unchecked, p = 4 gives a subgroup of order 4, p = 6 raises
+    # StopIteration, p = 0 ZeroDivisionError, p = -2 InvariantError, and
+    # p = 1 never returns from _p_parts, which must not run at all
+    G = group_of("sym:4")
+    P = sylow(G, 2)
+    monkeypatch.setattr(subgroups, "_p_parts", lambda n, p: pytest.fail("p reached _p_parts"))
+    for call in (lambda: sylow(G, p), lambda: p_residual(G, p), lambda: p_residual(G, p, sylow_handle=P)):
+        with pytest.raises(ValueError, match=f"^p = {p} is not a prime$"):
+            call()
+
+
 def test_quotient_group():
     S4 = group_of("sym:4")
     V = derived_subgroup(derived_subgroup(S4).group)

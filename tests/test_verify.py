@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from chardeg import verify
+from chardeg import subgroups, verify
 from chardeg.constructions import build, iter_catalog
-from chardeg.subgroups import derived_subgroup, is_solvable, subgroup, sylow
+from chardeg.subgroups import derived_subgroup, is_normal, is_solvable, subgroup, sylow
 from chardeg.verify import (
     GroupFacts,
     VerificationReport,
@@ -307,6 +307,49 @@ def test_sweep_derives_each_fact_once(monkeypatch):
     assert nonsolvable
     bound = len(nonabelian) + sum(1 for group, _ in pairs if group in nonsolvable)
     assert sum(calls["is_solvable"].values()) <= bound
+
+
+def test_acd_p_is_computed_once_per_pair_and_once_per_quotient(monkeypatch):
+    """One acd_p call per (group, p) pair of the order-150 sweep, and one
+    more per pair whose G' is nontrivial, for the spectrum of G/G'; with
+    G' trivial the quotient's acd_p is G's own, read from the memo."""
+    calls = []
+    acd_p = verify.acd_p
+
+    def counted(spectrum, p):
+        calls.append(p)
+        return acd_p(spectrum, p)
+
+    monkeypatch.setattr(verify, "acd_p", counted)
+    report = run_catalog(VerifyConfig(max_order=150))
+    assert report.summary["errors"] == 0
+    pairs = {(c.group, c.p) for c in report.checks}
+    nonabelian = {r.spec for r in iter_catalog(150) if not build(r).group.is_abelian()}
+    expected = len(pairs) + sum(1 for group, _ in pairs if group in nonabelian)
+    assert len(calls) == expected == 3259
+
+
+def test_normal_closures_are_built_for_no_normal_sylow(monkeypatch):
+    """The p-residual of a normal Sylow p-subgroup is that Sylow, read from
+    the sylow-normal row's answer: no normal closure of its generators is
+    built, while a non-normal Sylow gets its closure."""
+    closed = []
+    normal_closure = subgroups.normal_closure
+
+    def recording(G, gens):
+        gens = list(gens)
+        closed.append([tuple(g) for g in gens])
+        return normal_closure(G, gens)
+
+    monkeypatch.setattr(subgroups, "normal_closure", recording)
+    for spec, normal_primes, other_primes in [("dihedral:15", [3, 5], [2]), ("frob:7:1:3", [7], [3])]:
+        built = built_of(spec)
+        closed.clear()
+        verify._group_checks(built, VerifyConfig())
+        for p in normal_primes + other_primes:
+            P = sylow(built.group, p)
+            assert is_normal(built.group, P) == (p in normal_primes)
+            assert (list(P.group.generators) in closed) == (p in other_primes), (spec, p)
 
 
 def test_report_json_shape_and_determinism():
