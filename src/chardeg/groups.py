@@ -2,11 +2,17 @@
 
 A PermGroup is generated by permutations of {0, .., degree-1}.  The order
 and membership tests come from a deterministic Schreier-Sims chain, built
-on first use.  Generators are split into support-disjoint components (a
-direct product internally), each with its own chain.  A component with a
-single generator g knows its order (the order of g) and tests membership
-by walking the cycles of g, so it builds its chain only when its base or
-its elements are needed.
+on first use.  A chain is built in two steps: it is grown by sifting
+elements and placing the residues of those that do not sift through, and
+then verified once by sifting the Schreier generators that are not edges
+of its Schreier trees.  A grown chain that is not yet verified already
+proves membership for what sifts through it, and its orbits multiply to
+at most the group's order, so a normal closure can stop growing as soon
+as that product reaches the order of the whole group.  Generators are
+split into support-disjoint components (a direct product internally),
+each with its own chain.  A component with a single generator g knows
+its order (the order of g) and tests membership by walking the cycles of
+g, so it builds its chain only when its base or its elements are needed.
 
 The elements, when a computation needs all of them, are one int16 array
 built from the chain, one row per element, in the order of their chain
@@ -121,7 +127,9 @@ class _Level:
     only ever added, so an element that once sifted through the levels from
     here on still does.  ``checked`` holds the pairs (x, id(s)) whose
     Schreier generator u_x s u_(x s)^-1 has sifted through the deeper
-    levels (s is a residue stored here or deeper, and stays alive there).
+    levels, or is the identity because x -s-> x s is the tree edge that
+    set u_(x s) (s is a residue stored here or deeper, and stays alive
+    there).
     """
 
     __slots__ = ("point", "gens", "gen_inverses", "transversal", "inverses", "checked")
@@ -163,6 +171,12 @@ def _schreier_sims(
 ) -> list[_Level]:
     """Deterministic Schreier-Sims; returns the verified stabilizer chain.
 
+    A chain is built in two steps: growing it by an element places the
+    element's residue (_grow), and verifying it runs the Schreier-generator
+    loop (_verify).  Here the residue of every generator is placed first,
+    with no orbit extended, and the chain is then verified once, from the
+    deepest level that gained a residue.
+
     With levels, a complete chain built by an earlier call, the chain is
     resumed in place for the group it generates together with gens: each
     generator that does not sift is placed at the level where its sift
@@ -171,62 +185,94 @@ def _schreier_sims(
 
     Verifying a level extends its orbit, keeping the transversal elements
     it has, and tests only the Schreier generators not in its ``checked``
-    set: one that sifted still sifts, because the deeper transversals only
-    grow.  So a resumed level, or one revisited after a residue was placed
-    deeper, tests only its new points and its new generators.
+    set: an edge of the Schreier tree is put there as it is found (see
+    _extend_orbit), and one that sifted still sifts, because the deeper
+    transversals only grow.  So a resumed level, or one revisited after a
+    residue was placed deeper, tests only its new points and its new
+    generators.
 
     With stop_at, it returns early, with a partial chain, as soon as the
     basic orbits multiply to stop_at: the orbits of a partial chain, stale
-    ones of a resumed chain included, multiply to at most the group's
-    order, so the group then has at least that order.  A partial chain
-    cannot be resumed.
+    or grown ones included, multiply to at most the group's order, so the
+    group then has at least that order.  A partial chain can still be
+    grown, and an element that sifts through it lies in the group; it is
+    completed by _verify from its deepest unverified level, not by a call
+    here, which would verify only the levels up from the new residues.
     """
-    identity = identity_perm(degree)
     if levels is None:
         levels = []
-
-    def chain_gens(idx: int) -> list[tuple[Perm, Perm]]:
-        # Level idx is generated by the residues stored at idx and deeper:
-        # deeper residues fix this base point but can still grow its orbit.
-        return [pair for lv in levels[idx:] for pair in zip(lv.gens, lv.gen_inverses)]
-
-    def extend_orbit(idx: int, pairs: list[tuple[Perm, Perm]]) -> list[int]:
-        """The orbit of level idx under the generators of pairs (each with
-        its inverse), in the order found, its new points added to the
-        transversal."""
-        level = levels[idx]
-        trans, invs = level.transversal, level.inverses
-        queue = list(trans)
-        for x in queue:
-            ux, vx = trans[x], invs[x]
-            for s, s_inv in pairs:
-                y = s[x]
-                if y not in trans:
-                    trans[y] = mult(ux, s)
-                    invs[y] = mult(s_inv, vx)  # (ux s)^-1 = s^-1 ux^-1
-                    queue.append(y)
-        return queue
-
-    def place(p: Perm, idx: int) -> int:
-        """Append residue p at level idx, extending the base if needed."""
-        if idx == len(levels):
-            b = min(i for i in range(degree) if p[i] != i)
-            levels.append(_Level(b, identity))
-        levels[idx].gens.append(p)
-        levels[idx].gen_inverses.append(inverse(p))
-        return idx
-
-    # Verify levels bottom-up from the deepest one that gained a residue;
-    # adding a residue at level j restarts from j.
     i = -1
     for g in gens:
         residue, j = _sift(levels, g)
         if not is_identity(residue):
-            i = max(i, place(residue, j))
+            i = max(i, _place(levels, residue, j, degree))
+    return _verify(levels, i, degree, stop_at)
+
+
+def _chain_gens(levels: list[_Level], idx: int) -> list[tuple[Perm, Perm]]:
+    """The residues stored at level idx and deeper, each with its inverse:
+    they generate level idx's group, since deeper residues fix its base
+    point but can still grow its orbit."""
+    return [pair for lv in levels[idx:] for pair in zip(lv.gens, lv.gen_inverses)]
+
+
+def _extend_orbit(level: _Level, pairs: list[tuple[Perm, Perm]]) -> list[int]:
+    """The orbit of level under the generators of pairs (each with its
+    inverse), in the order found, its new points added to the transversal.
+    The edge x -s-> y that adds y sets u_y = u_x s, so its Schreier
+    generator u_x s u_y^-1 is the identity: (x, id(s)) goes straight into
+    ``checked`` and is never formed or sifted."""
+    trans, invs, checked = level.transversal, level.inverses, level.checked
+    queue = list(trans)
+    for x in queue:
+        ux, vx = trans[x], invs[x]
+        for s, s_inv in pairs:
+            y = s[x]
+            if y not in trans:
+                trans[y] = mult(ux, s)
+                invs[y] = mult(s_inv, vx)  # (ux s)^-1 = s^-1 ux^-1
+                checked.add((x, id(s)))
+                queue.append(y)
+    return queue
+
+
+def _place(levels: list[_Level], p: Perm, idx: int, degree: int) -> int:
+    """Append residue p at level idx, extending the base if needed."""
+    if idx == len(levels):
+        b = min(i for i in range(degree) if p[i] != i)
+        levels.append(_Level(b, identity_perm(degree)))
+    levels[idx].gens.append(p)
+    levels[idx].gen_inverses.append(inverse(p))
+    return idx
+
+
+def _grow(levels: list[_Level], g: Perm, degree: int) -> bool:
+    """Grow the chain levels, complete or not, by g without verifying it:
+    unless g sifts through, and so already lies in the group of the
+    levels, its residue is placed at the level where the sift stopped, and
+    the orbits of that level and of every level above it, which the
+    residue also generates, are extended.  Whether g was placed.  The
+    levels stay a partial chain until _verify runs."""
+    residue, j = _sift(levels, g)
+    if is_identity(residue):
+        return False
+    _place(levels, residue, j, degree)
+    for idx in range(j + 1):
+        _extend_orbit(levels[idx], _chain_gens(levels, idx))
+    return True
+
+
+def _verify(levels: list[_Level], i: int, degree: int, stop_at: int | None = None) -> list[_Level]:
+    """Complete the chain levels, whose levels below i are verified, from
+    level i up: each level's orbit is extended, and each of its Schreier
+    generators not in ``checked`` is sifted through the deeper levels.  A
+    residue left over is placed where its sift stopped, and the loop
+    restarts from that level.  With stop_at, the partial chain is returned
+    as soon as its orbits multiply to stop_at (see _schreier_sims)."""
     while i >= 0:
         level = levels[i]
-        gens_here = chain_gens(i)
-        orbit = extend_orbit(i, gens_here)
+        gens_here = _chain_gens(levels, i)
+        orbit = _extend_orbit(level, gens_here)
         if stop_at is not None and _chain_order(levels) >= stop_at:
             return levels
         restart = -1
@@ -240,7 +286,7 @@ def _schreier_sims(
                 sg = mult(mult(ux, s), level.inverses[s[x]])
                 residue, j = _sift(levels, sg, i + 1)
                 if not is_identity(residue):
-                    restart = place(residue, j)
+                    restart = _place(levels, residue, j, degree)
                     break
                 checked.add(key)
             if restart >= 0:
@@ -462,6 +508,7 @@ class PermGroup:
         self._elements: np.ndarray | None = None
         self._index: ChainIndex | None = None
         self._abelian: bool | None = None
+        self._conjugators: list[tuple[Perm, Perm]] | None = None
 
     def subgroup(
         self, parts: list[list[Perm]], orders: list[int | None] | None = None
@@ -505,6 +552,13 @@ class PermGroup:
         if self._abelian is None:
             self._abelian = all(comp.is_abelian() for comp in self._components)
         return self._abelian
+
+    def conjugators(self) -> list[tuple[Perm, Perm]]:
+        """The generators g as pairs (g^-1, g), each inverted once for the
+        group: the conjugate g^-1 k g of k by g is mult(mult(g^-1, k), g)."""
+        if self._conjugators is None:
+            self._conjugators = [(inverse(g), g) for g in self.generators]
+        return self._conjugators
 
     def contains(self, p) -> bool:
         p = tuple(p)
@@ -689,10 +743,9 @@ def conjugacy_classes(G: PermGroup) -> ClassStructure:
     """
     elements, index = G.elements(), G.chain_index()
     n, base = len(elements), G.base()
-    inverses = [inverse(g) for g in G.generators]
     conjugations = [
         index.find(np.array(g, dtype=POINT_DTYPE)[elements[:, [h[b] for b in base]]], "a conjugate")
-        for g, h in zip(G.generators, inverses)
+        for h, g in G.conjugators()
     ]
     class_id, rows = index_orbits(n, [c.tolist() for c in conjugations])
     sizes = np.bincount(class_id, minlength=len(rows)).tolist()

@@ -12,6 +12,15 @@ part that is a whole component keeps that component and its chain, and a
 one-generator part g^m of a component <g> takes its order o(g)/gcd(o(g), m)
 rather than walking its cycles.
 
+A normal closure grows one stabilizer chain from its generators and from
+each conjugate that does not sift through it, and verifies that chain once
+at the end: a partial chain already proves membership for what sifts
+through it, and its orbits multiply to at most the closure's order, so a
+closure that reaches |G| returns G before any Schreier generator is
+sifted.  The normalizer, whose generator list must stay short, resumes a
+complete chain for each generator instead.  Conjugation by the generators
+of G uses their inverses kept with G (PermGroup.conjugators).
+
 Deterministic behaviour matters: fallbacks enumerate elements in the order
 of their chain coordinates, and randomized searches take an explicit seed.
 """
@@ -31,10 +40,12 @@ from .groups import (
     PermGroup,
     _chain_order,
     _Component,
+    _grow,
     _Level,
     _points,
     _schreier_sims,
     _sift,
+    _verify,
     index_orbits,
     orbit,
 )
@@ -42,9 +53,10 @@ from .numbers import InvariantError, _require_prime
 from .perms import (
     Perm,
     commutator,
-    conjugate,
     identity_perm,
+    inverse,
     is_identity,
+    mult,
     perm_power,
 )
 
@@ -81,12 +93,12 @@ def _by_components(G: PermGroup, elements: list[Perm]) -> list[list[Perm]]:
     return [gens for _, gens in parts]
 
 
-def _extend_chain(levels: list[_Level], g: Perm, degree: int, stop_at: int | None = None) -> bool:
+def _extend_chain(levels: list[_Level], g: Perm, degree: int) -> bool:
     """Resume the complete chain levels with g unless g already sifts
     through it (see _schreier_sims); whether g was added."""
     if is_identity(_sift(levels, g)[0]):
         return False
-    _schreier_sims([g], degree, stop_at=stop_at, levels=levels)
+    _schreier_sims([g], degree, levels=levels)
     return True
 
 
@@ -97,31 +109,41 @@ def normal_closure(G: PermGroup, gens) -> PermGroup:
     gives <k>, tested as a cyclic group without a chain.  Otherwise every
     generator of the closure K is conjugated by each generator of G once,
     from a list that grows while it is walked: a conjugate that lay in an
-    earlier K still lies in every larger one.  K has one stabilizer chain
-    (see _schreier_sims), started from the given elements and resumed for
-    each conjugate that does not sift through it.  The chain stops as soon
-    as it shows |K| = |G|, and then G itself is returned and the partial
-    chain dropped; otherwise the complete chain becomes K's.
+    earlier K still lies in every larger one.  K has one stabilizer chain,
+    grown (see _grow) from the given elements and from each conjugate that
+    does not sift through it, which then joins K's generators; sifting
+    through the chain, verified or not, shows that a conjugate lies in K.
+    The orbits of that chain multiply to at most |K|, so as soon as they
+    reach |G| the closure is G, and G itself is returned with no Schreier
+    generator sifted.  Otherwise the chain is verified once, at the end
+    (see _verify), and becomes K's; G is returned if it reaches |G| there.
     """
     gens = list(gens)
     if not all(G.contains(g) for g in gens):
         raise ValueError("normal closure of elements outside the group")
     # the generators PermGroup(gens) keeps, in its order
     todo = list(dict.fromkeys(g for g in map(tuple, gens) if not is_identity(g)))
+    conjugators = G.conjugators()
     if len(todo) == 1:  # <k> is normal when its conjugates lie in it
         K = G.subgroup([todo])
-        if all(K.contains(conjugate(todo[0], g)) for g in G.generators):
+        k = todo[0]
+        if all(K.contains(mult(mult(v, k), g)) for v, g in conjugators):
             return G if K.order == G.order else K
-    levels = _schreier_sims(todo, G.degree, stop_at=G.order)
+    levels: list[_Level] = []
+    for k in todo:
+        _grow(levels, k, G.degree)
     if _chain_order(levels) >= G.order:
         return G
     for k in todo:
-        for g in G.generators:
-            c = conjugate(k, g)
-            if _extend_chain(levels, c, G.degree, stop_at=G.order):
+        for v, g in conjugators:
+            c = mult(mult(v, k), g)
+            if _grow(levels, c, G.degree):
                 if _chain_order(levels) >= G.order:
                     return G
                 todo.append(c)
+    # the chain was grown from nothing, so every level needs verifying
+    if _chain_order(_verify(levels, len(levels) - 1, G.degree, stop_at=G.order)) >= G.order:
+        return G
     K = G.subgroup(_by_components(G, todo))
     K.adopt_chain(levels)
     return K
@@ -241,7 +263,8 @@ def is_normal(G: PermGroup, H: SubgroupHandle) -> bool:
     HG = H.group
     if HG.order == G.order:
         return True
-    return all(HG.contains(conjugate(h, g)) for h in HG.generators for g in G.generators)
+    conjugators = G.conjugators()
+    return all(HG.contains(mult(mult(v, h), g)) for h in HG.generators for v, g in conjugators)
 
 
 def p_residual(
@@ -320,7 +343,8 @@ def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
     members = 0
     for row in G.elements():
         g = tuple(row.tolist())
-        if all(HG.contains(conjugate(h, g)) for h in hgens):
+        v = inverse(g)
+        if all(HG.contains(mult(mult(v, h), g)) for h in hgens):
             members += 1
             if _extend_chain(levels, g, G.degree):
                 gens.append(g)

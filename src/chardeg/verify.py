@@ -43,8 +43,8 @@ from .subgroups import (
     derived_subgroup,
     is_normal,
     is_solvable,
+    normal_closure,
     normalizer,
-    p_residual,
     quotient_group,
     sylow,
 )
@@ -109,7 +109,8 @@ class GroupFacts:
     spectra and the dual orbit sizes are computed on first use and kept.
     The p-residual O^{p'}(G) is read from the kept Sylow normality: a
     normal Sylow p-subgroup is its own p-residual, so a normal closure is
-    built only for a Sylow that is not normal.
+    built only for a Sylow that is not normal, and built directly, with no
+    second normality test (subgroups.p_residual would repeat it).
     """
 
     group_id: str
@@ -139,7 +140,9 @@ class GroupFacts:
 
     def p_residual(self, p: int) -> SubgroupHandle:
         P = self.sylow(p)
-        return P if self.sylow_normal(p) else p_residual(self.G, p, sylow_handle=P)
+        if self.sylow_normal(p):
+            return P
+        return SubgroupHandle(normal_closure(self.G, P.group.generators))
 
     @cached_property
     def derived(self) -> SubgroupHandle:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chardeg import constructions, groups, subgroups
+from chardeg import constructions, groups, perms, subgroups
 from chardeg.constructions import iter_catalog
 from chardeg.dixon import degree_spectrum
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
@@ -421,20 +421,39 @@ def test_normal_closure():
 
 
 def record_chains(monkeypatch) -> list:
-    """Record (stop_at, orbit product, whether the call started a chain,
-    the levels) for every _schreier_sims call, in either module."""
+    """Record (step, the levels, their orbit product after the step) for
+    every call of _grow, _verify and _schreier_sims, in either module."""
     built = []
-    schreier_sims = groups._schreier_sims
 
-    def recording(gens, degree, stop_at=None, levels=None):
-        started = levels is None
-        levels = schreier_sims(gens, degree, stop_at, levels)
-        built.append((stop_at, prod(len(lv.transversal) for lv in levels), started, levels))
-        return levels
+    def recording(name, fn):
+        def step(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            levels = out if name == "_schreier_sims" else args[0]
+            built.append((name, levels, prod(len(lv.transversal) for lv in levels)))
+            return out
 
-    monkeypatch.setattr(groups, "_schreier_sims", recording)
-    monkeypatch.setattr(subgroups, "_schreier_sims", recording)
+        return step
+
+    for name in ("_grow", "_verify", "_schreier_sims"):
+        step = recording(name, getattr(groups, name))
+        for module in (groups, subgroups):
+            monkeypatch.setattr(module, name, step)
     return built
+
+
+def sifted_schreier_generators(monkeypatch) -> list:
+    """Every element sifted from below the top level: only the
+    Schreier-generator loop of _verify sifts from there."""
+    tests = []
+    sift = groups._sift
+
+    def counting(levels, p, start=0):
+        if start > 0:
+            tests.append(p)
+        return sift(levels, p, start)
+
+    monkeypatch.setattr(groups, "_sift", counting)
+    return tests
 
 
 def test_normal_closure_that_is_whole_returns_the_group_itself(monkeypatch):
@@ -442,18 +461,50 @@ def test_normal_closure_that_is_whole_returns_the_group_itself(monkeypatch):
     S5.elements()  # chain, elements and index built once, here
     built = record_chains(monkeypatch)
     assert normal_closure(S5, [(1, 0, 2, 3, 4)]) is S5
-    # every chain was built towards |G|, and the last one stopped there
-    assert [stop for stop, *_ in built] == [120] * len(built)
-    assert built[-1][1] == 120
-    # one chain was started, and every later call resumed it
-    assert [started for _, _, started, _ in built] == [True] + [False] * (len(built) - 1)
-    assert all(levels is built[0][3] for *_, levels in built)
+    # one chain was grown, never verified, and its last step reached |G|
+    assert built and {name for name, *_ in built} == {"_grow"}
+    assert all(levels is built[0][1] for _, levels, _ in built)
+    assert built[-1][2] == 120
     A5 = group_of("alt:5")
     assert derived_subgroup(A5).group is A5
-    # a proper closure keeps its complete chain
+    # a proper closure keeps its complete chain, verified once at the end
+    built.clear()
     K = normal_closure(S5, [(1, 2, 0, 3, 4)])
     assert K is not S5 and K.order == 60
+    assert [name for name, *_ in built].count("_verify") == 1 and built[-1][0] == "_verify"
+    assert [lv for comp in K._components for lv in comp._levels] == built[-1][1]
     assert K.elements().shape == (60, 5)
+
+
+def test_a_closure_inverts_each_generator_of_the_group_once(monkeypatch):
+    G = group_of("psl2:7")
+    G.order
+    k = sylow(G, 7).group.generators[0]
+    inverted, placed = [], []
+    inverse, grow = perms.inverse, groups._grow
+
+    def counting(p):
+        inverted.append(p)
+        return inverse(p)
+
+    def growing(levels, g, degree):
+        grown = grow(levels, g, degree)
+        placed.extend([g] if grown else [])
+        return grown
+
+    for module in (perms, groups, subgroups):
+        monkeypatch.setattr(module, "inverse", counting)
+    monkeypatch.setattr(subgroups, "_grow", growing)
+    assert normal_closure(G, [k]) is G
+    # G's generators once, then one inverse per residue placed; no
+    # conjugate inverts its conjugator again
+    assert len(inverted) == len(G.generators) + len(placed)
+    assert inverted[: len(G.generators)] == list(G.generators)
+    # the inverses are kept with G, for every later conjugation test
+    inverted.clear()
+    placed.clear()
+    assert normal_closure(G, [mult(k, k)]) is G
+    assert len(inverted) == len(placed)
 
 
 def test_normal_closure_refuses_elements_outside_the_group():
@@ -501,16 +552,13 @@ def test_resumed_chain_matches_a_chain_built_from_scratch():
     assert [lv.transversal for lv in levels] == before
 
 
+def tree_edges(levels) -> int:
+    """The edges of the Schreier trees: one per orbit point but the base point."""
+    return sum(len(lv.transversal) - 1 for lv in levels)
+
+
 def test_each_schreier_generator_is_tested_until_it_sifts_and_then_never_again(monkeypatch):
-    tests = []
-    sift = groups._sift
-
-    def counting(levels, p, start=0):
-        if start > 0:  # only Schreier generators are sifted from below the top
-            tests.append(p)
-        return sift(levels, p, start)
-
-    monkeypatch.setattr(groups, "_sift", counting)
+    tests = sifted_schreier_generators(monkeypatch)
     gens = [from_cycles([(0, 1)], 7), from_cycles([tuple(range(7))], 7)]
     levels = groups._schreier_sims(gens[:1], 7)
     for g in [from_cycles([(1, 2)], 7), from_cycles([(5, 6)], 7), gens[1]]:
@@ -522,8 +570,28 @@ def test_each_schreier_generator_is_tested_until_it_sifts_and_then_never_again(m
         for i, lv in enumerate(levels)
     )
     assert sum(len(lv.checked) for lv in levels) == pairs
-    # every pair passes once, and a test fails only where a residue was placed
-    assert len(tests) <= pairs + placed
+    # every pair passes once, but a tree edge's Schreier generator is the
+    # identity and is never sifted, and a test fails only where a residue
+    # was placed
+    assert len(tests) <= pairs - tree_edges(levels) + placed
+
+
+@pytest.mark.parametrize("spec", ["sym:7", "psl2:13", "agl1:27", "sym:3xalt:5", "extraspecial:5"])
+def test_a_fresh_chain_sifts_only_schreier_generators_off_its_trees(monkeypatch, spec):
+    tests = sifted_schreier_generators(monkeypatch)
+    for comp in group_of(spec)._components:
+        tests.clear()
+        levels = groups._schreier_sims(comp.gens, len(comp.gens[0]))
+        placed = sum(len(lv.gens) for lv in levels)
+        pairs = sum(
+            len(lv.transversal) * sum(len(deeper.gens) for deeper in levels[i:])
+            for i, lv in enumerate(levels)
+        )
+        # every pair, tree edges included, ends up checked, but only the
+        # pairs off the trees are sifted, plus one failed test per residue
+        assert tree_edges(levels) > 0
+        assert sum(len(lv.checked) for lv in levels) == pairs
+        assert len(tests) <= pairs - tree_edges(levels) + placed, spec
 
 
 def closure_cases(bound: int):
@@ -544,11 +612,15 @@ def test_each_normal_closure_starts_at_most_one_chain_and_then_extends_it(monkey
     for G, rep in cases:
         built.clear()
         K = normal_closure(G, [rep])
-        started = [s for _, _, s, _ in built]
-        assert started in ([], [True] + [False] * (len(started) - 1)), (G, rep)
-        if built:  # else <rep> was normal, and no chain was needed
-            assert all(levels is built[0][3] for *_, levels in built)
-            assert K is G or K.order == prod(len(lv.transversal) for lv in built[0][3])
+        if not built:  # <rep> was normal, and no chain was needed
+            continue
+        names = [name for name, *_ in built]
+        # one chain, grown step by step and verified at most once, last;
+        # no chain is built from scratch
+        assert "_schreier_sims" not in names, (G, rep)
+        assert "_verify" not in names[:-1], (G, rep)
+        assert all(levels is built[0][1] for _, levels, _ in built), (G, rep)
+        assert K is G or K.order == built[-1][2], (G, rep)
 
 
 def test_a_chain_stopped_at_the_group_order_is_never_kept(monkeypatch):
@@ -559,13 +631,31 @@ def test_a_chain_stopped_at_the_group_order_is_never_kept(monkeypatch):
         built.clear()
         K = normal_closure(G, [rep])
         kept = [comp._levels for H in (G, K) for comp in H._components]
-        for stop, n, _, levels in built:
-            if n >= stop:
+        for _, levels, n in built:
+            if n >= G.order:
                 stopped += 1
                 assert K is G and all(levels is not chain for chain in kept)
         if K is not G and built:  # a proper closure keeps its complete chain
-            assert K.order == prod(len(lv.transversal) for lv in built[-1][3]) < G.order
+            assert built[-1][0] == "_verify"
+            assert K.order == built[-1][2] < G.order
     assert stopped
+
+
+def test_a_closure_that_reaches_the_group_sifts_no_schreier_generator(monkeypatch):
+    A5, L = group_of("alt:5"), group_of("psl2:7")
+    sylows = [sylow(L, p) for p in (2, 3, 7)]
+    for P in sylows:
+        P.group.order  # every chain outside the closures, built first
+        assert not is_normal(L, P)
+    A5.order
+    tests = sifted_schreier_generators(monkeypatch)
+    assert derived_subgroup(A5).group is A5
+    for p, P in zip((2, 3, 7), sylows):
+        assert p_residual(L, p, sylow_handle=P).group is L
+    assert tests == []
+    # a proper closure does verify its chain
+    normal_closure(group_of("sym:5"), [(1, 2, 0, 3, 4)])
+    assert tests
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
@@ -582,6 +672,19 @@ def test_normal_closure_order_matches_a_chain_built_from_scratch(gens, seed):
         assert K.order == PermGroup(K.generators, degree=6).order
         assert all(K.contains(e) for e in elements)
         assert K.elements().shape == (K.order, 6)  # the adopted chain lists K
+
+
+def test_each_class_closure_to_order_300_is_normal_and_agrees_with_a_fresh_chain():
+    """A chain grown without verifying, then verified once, gives the
+    closure's true order, and its generators are closed under conjugation."""
+    cases = 0
+    for G, rep in closure_cases(300):
+        K = normal_closure(G, [rep])
+        assert K.contains(rep), (G, rep)
+        assert K.order == PermGroup(K.generators, degree=G.degree).order, (G, rep)
+        assert all(K.contains(conjugate(k, g)) for k in K.generators for g in G.generators)
+        cases += 1
+    assert cases == 8860
 
 
 def test_normal_closure_of_each_class_rep_is_generated_by_its_class():

@@ -341,7 +341,9 @@ def test_normal_closures_are_built_for_no_normal_sylow(monkeypatch):
         closed.append([tuple(g) for g in gens])
         return normal_closure(G, gens)
 
-    monkeypatch.setattr(subgroups, "normal_closure", recording)
+    # the sweep builds a p-residual's closure itself, and G' through subgroups
+    for module in (subgroups, verify):
+        monkeypatch.setattr(module, "normal_closure", recording)
     for spec, normal_primes, other_primes in [("dihedral:15", [3, 5], [2]), ("frob:7:1:3", [7], [3])]:
         built = built_of(spec)
         closed.clear()
@@ -350,6 +352,25 @@ def test_normal_closures_are_built_for_no_normal_sylow(monkeypatch):
             P = sylow(built.group, p)
             assert is_normal(built.group, P) == (p in normal_primes)
             assert (list(P.group.generators) in closed) == (p in other_primes), (spec, p)
+
+
+def test_a_sylow_found_not_normal_is_not_tested_again(monkeypatch):
+    """The p-residual of a Sylow that the sylow-normal row found not normal
+    is built as its normal closure with no second normality test: the
+    order-150 sweep makes 3,247 is_normal calls, where repeating the test
+    for each such Sylow made 3,422."""
+    calls = []
+    is_normal = subgroups.is_normal
+
+    def counted(G, H):
+        calls.append(H)
+        return is_normal(G, H)
+
+    for module in (subgroups, verify):
+        monkeypatch.setattr(module, "is_normal", counted)
+    report = run_catalog(VerifyConfig(max_order=150))
+    assert report.summary["errors"] == 0
+    assert len(calls) == 3247
 
 
 def test_report_json_shape_and_determinism():
