@@ -2,9 +2,10 @@
 
 Recipes are strings like "sym:4", "frob:7:1:3", or "extraspecial:3xcyclic:2"
 (direct products join atoms with "x").  Parsing validates parameters and
-records the declared order; building returns the permutation group together
-with split-extension data for the affine and Frobenius constructions, which
-downstream orbit computations consume.
+records the declared order and degree; building returns the permutation
+group together with split-extension data for the affine and Frobenius
+constructions, which downstream orbit computations consume.  A product is
+assembled from its built factors' components (see direct_product).
 """
 
 from __future__ import annotations
@@ -57,12 +58,13 @@ class SplitExtensionData:
 
 @dataclass(frozen=True)
 class GroupRecipe:
-    """A validated group description with its declared order."""
+    """A validated group description with its declared order and degree."""
 
     spec: str
     kind: str
     params: tuple[int, ...]
     order: int
+    degree: int
     factors: tuple["GroupRecipe", ...] = ()
 
 
@@ -73,56 +75,56 @@ class BuiltGroup:
     split: SplitExtensionData | None = None
 
 
-def _cyclic_order(n: int) -> int:
+def _cyclic_order(n: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    return _points(n)
+    return _points(n), n
 
 
-def _dihedral_order(n: int) -> int:
+def _dihedral_order(n: int) -> tuple[int, int]:
     if n < 3:
         raise ValueError("dihedral index must be at least 3")
-    return 2 * _points(n)
+    return 2 * _points(n), n
 
 
-def _sym_order(n: int) -> int:
+def _sym_order(n: int) -> tuple[int, int]:
     if n < 1:
         raise ValueError("symmetric index must be positive")
-    return factorial(_points(n))
+    return factorial(_points(n)), n
 
 
-def _alt_order(n: int) -> int:
+def _alt_order(n: int) -> tuple[int, int]:
     if n < 3:
         raise ValueError("alternating index must be at least 3")
-    return factorial(_points(n)) // 2
+    return factorial(_points(n)) // 2, n
 
 
-def _agl1_order(q: int) -> int:
+def _agl1_order(q: int) -> tuple[int, int]:
     if not is_prime_power(_points(q)):
         raise ValueError(f"agl1 requires a prime power, got {q}")
-    return q * (q - 1)
+    return q * (q - 1), q
 
 
-def _frob_order(r: int, m: int, d: int) -> int:
+def _frob_order(r: int, m: int, d: int) -> tuple[int, int]:
     q = _points(r, m)
     if not is_prime(r):
         raise ValueError(f"frob base {r} is not prime")
     if m < 1 or d < 1 or (q - 1) % d != 0:
         raise ValueError(f"frob order {d} must divide {r}^{m} - 1")
-    return q * d
+    return q * d, q
 
 
-def _psl2_order(q: int) -> int:
-    _points(q + 1)
+def _psl2_order(q: int) -> tuple[int, int]:
+    degree = _points(q + 1)
     if not is_prime_power(q) or q < 4:
         raise ValueError("psl2 requires a prime power q >= 4")
-    return q * (q * q - 1) // (2 if q % 2 else 1)
+    return q * (q * q - 1) // (2 if q % 2 else 1), degree
 
 
-def _extraspecial_order(p: int) -> int:
+def _extraspecial_order(p: int) -> tuple[int, int]:
     if p not in _EXTRASPECIAL_PRIMES:
         raise ValueError("extraspecial recipe supports p in {3, 5}")
-    return p**3
+    return p**3, p**3
 
 
 def cyclic(n: int) -> PermGroup:
@@ -143,7 +145,8 @@ def dihedral_class_count(n: int) -> int:
 
 
 def sym(n: int) -> PermGroup:
-    if _sym_order(n) == 1:
+    _sym_order(n)
+    if n == 1:
         return PermGroup([], degree=1)
     gens = [from_cycles([(0, 1)], n)]
     if n > 2:
@@ -182,8 +185,7 @@ def frobenius(r: int, m: int, d: int) -> tuple[PermGroup, SplitExtensionData]:
     d must divide r^m - 1; d = 1 gives the elementary abelian kernel alone
     and d = r^m - 1 recovers the full one-dimensional affine group.
     """
-    order = _frob_order(r, m, d)
-    q = r**m
+    order, q = _frob_order(r, m, d)
     F = finite_field(q)
     kernel = tuple(_translation_perm(F, r**i) for i in range(m))
     if d > 1:
@@ -211,7 +213,7 @@ def psl2(q: int) -> PermGroup:
     being infinity and point 1 + x being x in GF(q).  It is generated by the
     translations x -> x + r^i (r the characteristic, i below the degree of
     GF(q)) and by x -> -1/x, which swaps 0 and infinity."""
-    expected = _psl2_order(q)
+    expected, _ = _psl2_order(q)
     F = finite_field(q)
     gens = [
         (0,) + tuple(1 + y for y in _translation_perm(F, F.char**i)) for i in range(F.degree)
@@ -225,7 +227,7 @@ def psl2(q: int) -> PermGroup:
 
 def extraspecial(p: int) -> PermGroup:
     """Extraspecial group of order p^3 and exponent p, for p in {3, 5}."""
-    cube = _extraspecial_order(p)
+    cube, _ = _extraspecial_order(p)
 
     def idx(a: int, b: int, c: int) -> int:
         return (a * p + b) * p + c
@@ -247,26 +249,29 @@ def extraspecial(p: int) -> PermGroup:
 
 
 def direct_product(groups: list[PermGroup]) -> PermGroup:
-    """Internal direct product on the disjoint union of the point sets."""
-    degree = sum(g.degree for g in groups)
-    gens = []
-    offset = 0
-    for g in groups:
-        ident = tuple(range(degree))
-        for gen in g.generators:
-            shifted = list(ident)
-            for i, img in enumerate(gen):
-                shifted[offset + i] = offset + img
-            gens.append(tuple(shifted))
-        offset += g.degree
-    return PermGroup(gens, degree=degree)
+    """Internal direct product on the disjoint union of the point sets.
+
+    Each factor's components are shifted onto its points (see
+    _Component.shifted) and joined as they are, so the generators of built
+    groups are neither checked, split nor cycle-walked again; the product's
+    generators are its factors', in their order."""
+    degree = _points(sum(G.degree for G in groups))
+    gens, components, offset = [], [], 0
+    for G in groups:
+        shifted = [comp.shifted(offset, degree) for comp in G._components]
+        moved = {g: h for c, s in zip(G._components, shifted) for g, h in zip(c.gens, s.gens)}
+        gens += [moved[g] for g in G.generators]
+        components += shifted
+        offset += G.degree
+    return PermGroup.__new__(PermGroup)._assemble(degree, gens, components)
 
 
 @dataclass(frozen=True)
 class _Kind:
     """One recipe kind: its parameter count, its order function, which
-    rejects bad parameters with the recipe error text and returns |G|, and
-    its constructor, which returns the group or the group and split data."""
+    rejects bad parameters with the recipe error text and returns |G| and
+    the number of points G acts on, and its constructor, which returns the
+    group or the group and split data."""
 
     arity: int
     order: Callable[..., int]
@@ -300,7 +305,8 @@ def _parse_atom(text: str) -> GroupRecipe:
     entry = _kind(kind)
     if len(params) != entry.arity:
         raise ValueError(f"{kind} takes {entry.arity} parameter(s), got {text!r}")
-    return GroupRecipe(spec=text, kind=kind, params=params, order=entry.order(*params))
+    order, degree = entry.order(*params)
+    return GroupRecipe(spec=text, kind=kind, params=params, order=order, degree=degree)
 
 
 def _numeral(text: str) -> int:
@@ -316,7 +322,9 @@ def _numeral(text: str) -> int:
 
 def parse_group_spec(text: str) -> GroupRecipe:
     """Parse a recipe string; products join atoms with "x" between a digit
-    and a letter, as in "sym:3xalt:4"."""
+    and a letter, as in "sym:3xalt:4".  A product acts on the sum of its
+    factors' degrees, which is refused past the point cap here, before
+    any factor is built."""
     text = text.strip()
     if not text:
         raise ValueError("empty group spec")
@@ -329,6 +337,7 @@ def parse_group_spec(text: str) -> GroupRecipe:
         kind="product",
         params=(),
         order=prod(a.order for a in atoms),
+        degree=_points(sum(a.degree for a in atoms)),
         factors=atoms,
     )
 

@@ -13,6 +13,8 @@ split into support-disjoint components (a direct product internally),
 each with its own chain.  A component with a single generator g knows
 its order (the order of g) and tests membership by walking the cycles of
 g, so it builds its chain only when its base or its elements are needed.
+Only outside input is checked and split: a subgroup takes its parent's
+components, a direct product its factors', shifted (_Component.shifted).
 
 The elements, when a computation needs all of them, are one int16 array
 built from the chain, one row per element, in the order of their chain
@@ -163,12 +165,7 @@ def _sift(levels: list[_Level], p: Perm, start: int = 0) -> tuple[Perm, int]:
     return p, len(levels)
 
 
-def _schreier_sims(
-    gens: list[Perm],
-    degree: int,
-    stop_at: int | None = None,
-    levels: list[_Level] | None = None,
-) -> list[_Level]:
+def _schreier_sims(gens: list[Perm], degree: int) -> list[_Level]:
     """Deterministic Schreier-Sims; returns the verified stabilizer chain.
 
     A chain is built in two steps: growing it by an element places the
@@ -177,12 +174,6 @@ def _schreier_sims(
     with no orbit extended, and the chain is then verified once, from the
     deepest level that gained a residue.
 
-    With levels, a complete chain built by an earlier call, the chain is
-    resumed in place for the group it generates together with gens: each
-    generator that does not sift is placed at the level where its sift
-    stopped, and only the levels up to the deepest such place are verified
-    again, since the levels below it and their generators are unchanged.
-
     Verifying a level extends its orbit, keeping the transversal elements
     it has, and tests only the Schreier generators not in its ``checked``
     set: an edge of the Schreier tree is put there as it is found (see
@@ -190,23 +181,14 @@ def _schreier_sims(
     transversals only grow.  So a resumed level, or one revisited after a
     residue was placed deeper, tests only its new points and its new
     generators.
-
-    With stop_at, it returns early, with a partial chain, as soon as the
-    basic orbits multiply to stop_at: the orbits of a partial chain, stale
-    or grown ones included, multiply to at most the group's order, so the
-    group then has at least that order.  A partial chain can still be
-    grown, and an element that sifts through it lies in the group; it is
-    completed by _verify from its deepest unverified level, not by a call
-    here, which would verify only the levels up from the new residues.
     """
-    if levels is None:
-        levels = []
+    levels: list[_Level] = []
     i = -1
     for g in gens:
         residue, j = _sift(levels, g)
         if not is_identity(residue):
             i = max(i, _place(levels, residue, j, degree))
-    return _verify(levels, i, degree, stop_at)
+    return _verify(levels, i, degree)
 
 
 def _chain_gens(levels: list[_Level], idx: int) -> list[tuple[Perm, Perm]]:
@@ -268,7 +250,8 @@ def _verify(levels: list[_Level], i: int, degree: int, stop_at: int | None = Non
     generators not in ``checked`` is sifted through the deeper levels.  A
     residue left over is placed where its sift stopped, and the loop
     restarts from that level.  With stop_at, the partial chain is returned
-    as soon as its orbits multiply to stop_at (see _schreier_sims)."""
+    as soon as its orbits multiply to stop_at, which the group's order is
+    then at least; it can still be grown, and a later _verify completes it."""
     while i >= 0:
         level = levels[i]
         gens_here = _chain_gens(levels, i)
@@ -343,6 +326,17 @@ class _Component:
                 mult(a, b) == mult(b, a) for i, a in enumerate(gens) for b in gens[i + 1 :]
             )
         return self._abelian
+
+    def shifted(self, offset: int, degree: int) -> _Component:
+        """This component placed on points offset.. of a group on degree
+        points: point i becomes offset + i, the generators keep their order,
+        and the support, any cyclic order already found and the abelian
+        flag are kept.  The chain is not; it is built again on first use."""
+        e, end = identity_perm(degree), offset + len(self.gens[0])
+        gens = [e[:offset] + tuple([offset + x for x in g]) + e[end:] for g in self.gens]
+        comp = _Component(gens, frozenset([offset + i for i in self.support]), self._cyclic_order)
+        comp._abelian = self._abelian
+        return comp
 
     def levels(self) -> list[_Level]:
         if self._levels is None:
@@ -480,7 +474,8 @@ class PermGroup:
 
     Outside input is checked and split into components by the constructor;
     a subgroup built from elements of a group takes that group's split
-    (see subgroup).  Both end in _assemble.
+    (see subgroup), and a direct product its factors' components, shifted
+    (see constructions.direct_product).  All end in _assemble.
     """
 
     def __init__(self, generators, degree: int | None = None):
@@ -499,7 +494,8 @@ class PermGroup:
             raise ValueError("generators act on different point sets")
         self._assemble(degree, gens, _split_components(gens))
 
-    def _assemble(self, degree: int, gens: list[Perm], components: list[_Component]) -> None:
+    def _assemble(self, degree: int, gens: list[Perm], components: list[_Component]) -> PermGroup:
+        """Set up this group from generators split into components; returns it."""
         self.degree = degree
         self.generators = tuple(gens)
         self._components = components
@@ -509,6 +505,7 @@ class PermGroup:
         self._index: ChainIndex | None = None
         self._abelian: bool | None = None
         self._conjugators: list[tuple[Perm, Perm]] | None = None
+        return self
 
     def subgroup(
         self, parts: list[list[Perm]], orders: list[int | None] | None = None
@@ -533,9 +530,8 @@ class PermGroup:
             if kept is None:
                 kept = _Component(gens, cyclic_order=order if len(gens) == 1 else None)
             components.append(kept)
-        H = PermGroup.__new__(PermGroup)
-        H._assemble(self.degree, [g for comp in components for g in comp.gens], components)
-        return H
+        gens = [g for comp in components for g in comp.gens]
+        return PermGroup.__new__(PermGroup)._assemble(self.degree, gens, components)
 
     @property
     def order(self) -> int:

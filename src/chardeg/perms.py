@@ -50,16 +50,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def conjugate(p: Perm, g: Perm) -> Perm:
-    """g^-1 * p * g, the conjugate of p by g."""
-    return mult(mult(inverse(g), p), g)
-
-
-def commutator(a: Perm, b: Perm) -> Perm:
-    """a^-1 * b^-1 * a * b."""
-    return mult(mult(inverse(a), inverse(b)), mult(a, b))
-
-
 def perm_order(p: Perm) -> int:
     """Multiplicative order, the lcm of the cycle lengths."""
     return lcm(*(len(c) for c in cycles(p))) if len(p) else 1

@@ -18,8 +18,9 @@ at the end: a partial chain already proves membership for what sifts
 through it, and its orbits multiply to at most the closure's order, so a
 closure that reaches |G| returns G before any Schreier generator is
 sifted.  The normalizer, whose generator list must stay short, resumes a
-complete chain for each generator instead.  Conjugation by the generators
-of G uses their inverses kept with G (PermGroup.conjugators).
+complete chain for each generator instead (see _extend_chain).
+Conjugations and commutators use the inverses of G's generators kept with
+G (PermGroup.conjugators).
 
 Deterministic behaviour matters: fallbacks enumerate elements in the order
 of their chain coordinates, and randomized searches take an explicit seed.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import combinations
 from math import prod
 from operator import itemgetter
 
@@ -42,8 +44,8 @@ from .groups import (
     _Component,
     _grow,
     _Level,
+    _place,
     _points,
-    _schreier_sims,
     _sift,
     _verify,
     index_orbits,
@@ -52,7 +54,6 @@ from .groups import (
 from .numbers import InvariantError, _require_prime
 from .perms import (
     Perm,
-    commutator,
     identity_perm,
     inverse,
     is_identity,
@@ -94,11 +95,13 @@ def _by_components(G: PermGroup, elements: list[Perm]) -> list[list[Perm]]:
 
 
 def _extend_chain(levels: list[_Level], g: Perm, degree: int) -> bool:
-    """Resume the complete chain levels with g unless g already sifts
-    through it (see _schreier_sims); whether g was added."""
-    if is_identity(_sift(levels, g)[0]):
+    """Resume the complete chain levels with g unless g sifts through it:
+    g's residue is placed where its one sift stopped, and the levels from
+    there up are verified again.  Whether g was added."""
+    residue, j = _sift(levels, g)
+    if is_identity(residue):
         return False
-    _schreier_sims([g], degree, levels=levels)
+    _verify(levels, _place(levels, residue, j, degree), degree)
     return True
 
 
@@ -150,9 +153,9 @@ def normal_closure(G: PermGroup, gens) -> PermGroup:
 
 
 def derived_subgroup(G: PermGroup) -> SubgroupHandle:
-    """Commutator subgroup [G, G]."""
-    gens = G.generators
-    comms = [commutator(a, b) for i, a in enumerate(gens) for b in gens[i + 1 :]]
+    """Commutator subgroup [G, G], the normal closure of the commutators
+    a^-1 b^-1 a b of G's generators (inverses from G.conjugators())."""
+    comms = [mult(mult(v, w), mult(a, b)) for (v, a), (w, b) in combinations(G.conjugators(), 2)]
     return SubgroupHandle(normal_closure(G, comms))
 
 
@@ -330,7 +333,7 @@ def normalizer(G: PermGroup, H: SubgroupHandle) -> SubgroupHandle:
 
     A member joins N's generators only when it does not sift through the
     stabilizer chain of those kept so far, and the chain is then resumed
-    with it (see _schreier_sims), so each generator at least doubles the
+    with it (see _extend_chain), so each generator at least doubles the
     order and N keeps one chain.  Every member must lie in N: |N| is the
     number of members.
     """

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from chardeg.constructions import BuiltGroup, build, parse_group_spec
 from chardeg.groups import ChainIndex, PermGroup
-from chardeg.perms import Perm, from_cycles, identity_perm, mult
+from chardeg.perms import Perm, from_cycles, identity_perm, inverse, mult
 
 
 def built_of(spec: str) -> BuiltGroup:
@@ -14,6 +14,16 @@ def built_of(spec: str) -> BuiltGroup:
 
 def group_of(spec: str) -> PermGroup:
     return built_of(spec).group
+
+
+def conjugate(p: Perm, g: Perm) -> Perm:
+    """g^-1 p g, the conjugate of p by g."""
+    return mult(mult(inverse(g), p), g)
+
+
+def commutator(a: Perm, b: Perm) -> Perm:
+    """a^-1 b^-1 a b."""
+    return mult(mult(inverse(a), inverse(b)), mult(a, b))
 
 
 def random_element(G: PermGroup, rng: random.Random) -> Perm:

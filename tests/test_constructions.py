@@ -3,9 +3,10 @@
 import re
 from itertools import product
 
+import numpy as np
 import pytest
 
-from chardeg import constructions
+from chardeg import constructions, groups
 from chardeg.constructions import (
     _KINDS,
     agl1,
@@ -18,11 +19,11 @@ from chardeg.constructions import (
     spectrum_of,
 )
 from chardeg.fields import finite_field
-from chardeg.groups import conjugacy_classes
-from chardeg.perms import conjugate, mult, perm_order
+from chardeg.groups import PermGroup, conjugacy_classes
+from chardeg.perms import mult, perm_order
 from chardeg.subgroups import is_normal, subgroup, sylow
 
-from support import built_of, group_of
+from support import built_of, conjugate, group_of
 
 
 def test_parse_atoms():
@@ -248,6 +249,56 @@ def test_direct_product_order_and_commuting_factors():
     assert P.degree == A.degree + B.degree
 
 
+def shifted_point_by_point(factors) -> PermGroup:
+    """The direct product of the factors as outside input: each generator
+    copied point by point onto its factor's points, then checked and split
+    by the PermGroup constructor."""
+    degree = sum(G.degree for G in factors)
+    gens, offset = [], 0
+    for G in factors:
+        for g in G.generators:
+            images = list(range(degree))
+            for i, x in enumerate(g):
+                images[offset + i] = offset + x
+            gens.append(tuple(images))
+        offset += G.degree
+    return PermGroup(gens, degree=degree)
+
+
+# factors with no components, on one point each
+_TRIVIAL_FACTOR_PRODUCTS = ("cyclic:1xsym:3", "sym:3xcyclic:1", "cyclic:1xcyclic:1", "sym:1xalt:4xcyclic:2")
+
+
+def test_a_built_product_is_its_factors_shifted_point_by_point():
+    recipes = [r for r in iter_catalog(2000) if r.kind == "product"]
+    recipes += map(parse_group_spec, _TRIVIAL_FACTOR_PRODUCTS)
+    for r in recipes:
+        G = build(r).group
+        H = shifted_point_by_point([build(f).group for f in r.factors])
+        assert G.degree == H.degree == r.degree, r.spec
+        assert G.generators == H.generators, r.spec
+        assert G.order == H.order == r.order, r.spec
+        assert [c.support for c in G._components] == [c.support for c in H._components], r.spec
+        if r.order <= 300:
+            assert np.array_equal(G.elements(), H.elements()), r.spec
+
+
+@pytest.mark.parametrize(
+    "spec", ["sym:3xcyclic:4", "cyclic:2xcyclic:1000", "psl2:7xcyclic:5xalt:4", *_TRIVIAL_FACTOR_PRODUCTS]
+)
+def test_a_product_of_built_factors_is_neither_checked_split_nor_cycle_walked(spec, monkeypatch):
+    recipe = parse_group_spec(spec)
+    factors = [build(f).group for f in recipe.factors]  # each checked, its order known
+
+    def refuse(*args):
+        raise AssertionError("a product went through the outside-input checks")
+
+    for name in ("check_bijection", "_split_components", "perm_order"):
+        monkeypatch.setattr(groups, name, refuse)
+    G = direct_product(factors)
+    assert G.order == recipe.order and G.degree == recipe.degree
+
+
 def test_dihedral_class_count():
     for n in range(3, 40):
         G = group_of(f"dihedral:{n}")
@@ -316,8 +367,12 @@ def test_catalog_sorted_and_buildable():
 
 
 # each spec with the degree its refusal names: q points for agl1:q, q + 1
-# for psl2:q and r^m for frob:r:m:d, which is not formed past the cap
+# for psl2:q and r^m for frob:r:m:d, which is not formed past the cap, and
+# the sum of its factors' degrees for a product, refused before either is
+# built
 _OVER_THE_CAP = {
+    "sym:3xcyclic:4094": "4097",
+    "psl2:4093xpsl2:4093": "8188",
     "cyclic:4097": "4097",
     "dihedral:4097": "4097",
     "sym:4097": "4097",

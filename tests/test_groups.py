@@ -15,7 +15,6 @@ from chardeg.dixon import _ClassMatrixBuilder
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import InvariantError
 from chardeg.perms import (
-    conjugate,
     from_cycles,
     identity_perm,
     inverse,
@@ -27,7 +26,7 @@ from chardeg.perms import (
 from chardeg.subgroups import derived_subgroup, quotient_group
 
 from oracle import oracle_classes, oracle_elements
-from support import drop_orbit_point, group_of, random_element, two_cycle_product
+from support import conjugate, drop_orbit_point, group_of, random_element, two_cycle_product
 
 
 def sym_gens(n):

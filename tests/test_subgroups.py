@@ -14,8 +14,6 @@ from chardeg.dixon import degree_spectrum
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
 from chardeg.numbers import factorize, prime_divisors
 from chardeg.perms import (
-    commutator,
-    conjugate,
     from_cycles,
     identity_perm,
     is_identity,
@@ -36,7 +34,7 @@ from chardeg.subgroups import (
     sylow,
 )
 
-from support import group_of, random_element
+from support import commutator, conjugate, group_of, random_element
 
 
 def test_derived_subgroup():
@@ -437,7 +435,8 @@ def record_chains(monkeypatch) -> list:
     for name in ("_grow", "_verify", "_schreier_sims"):
         step = recording(name, getattr(groups, name))
         for module in (groups, subgroups):
-            monkeypatch.setattr(module, name, step)
+            if hasattr(module, name):  # subgroups imports no _schreier_sims
+                monkeypatch.setattr(module, name, step)
     return built
 
 
@@ -518,10 +517,12 @@ def test_partial_chain_stops_at_the_given_order(monkeypatch):
     products = []
 
     def counted(stop_at):
-        # the chain of <(0 1)>, resumed with the 7-cycle
+        # the chain of <(0 1)>, with the 7-cycle's residue placed where its
+        # sift stops and the chain verified from there
         levels = groups._schreier_sims(gens[:1], 7)
         products.clear()
-        assert groups._schreier_sims(gens[1:], 7, stop_at, levels) is levels
+        residue, j = groups._sift(levels, gens[1])
+        assert groups._verify(levels, groups._place(levels, residue, j, 7), 7, stop_at) is levels
         return levels, len(products)
 
     monkeypatch.setattr(groups, "mult", lambda p, q: products.append(1) or mult(p, q))
@@ -542,13 +543,13 @@ def test_resumed_chain_matches_a_chain_built_from_scratch():
     gens = [from_cycles([(0, 1)], 6), from_cycles([(0, 1, 2)], 6), from_cycles([(2, 3, 4, 5)], 6)]
     levels = groups._schreier_sims(gens[:1], 6)
     for g in gens[1:]:
-        groups._schreier_sims([g], 6, levels=levels)
+        assert subgroups._extend_chain(levels, g, 6)
     assert groups._chain_order(levels) == PermGroup(gens).order == 720
     for x in map(tuple, S6.elements().tolist()):
         assert is_identity(groups._sift(levels, x)[0])
     # an element already in the group leaves the chain as it was
     before = [dict(lv.transversal) for lv in levels]
-    groups._schreier_sims([S6.generators[0]], 6, levels=levels)
+    assert not subgroups._extend_chain(levels, S6.generators[0], 6)
     assert [lv.transversal for lv in levels] == before
 
 
@@ -562,7 +563,7 @@ def test_each_schreier_generator_is_tested_until_it_sifts_and_then_never_again(m
     gens = [from_cycles([(0, 1)], 7), from_cycles([tuple(range(7))], 7)]
     levels = groups._schreier_sims(gens[:1], 7)
     for g in [from_cycles([(1, 2)], 7), from_cycles([(5, 6)], 7), gens[1]]:
-        groups._schreier_sims([g], 7, levels=levels)
+        subgroups._extend_chain(levels, g, 7)
     assert groups._chain_order(levels) == 5040
     placed = sum(len(lv.gens) for lv in levels)
     pairs = sum(

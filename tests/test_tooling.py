@@ -76,20 +76,25 @@ def private_definitions(tree: ast.Module) -> dict[str, int]:
     return out
 
 
+def references(tree: ast.AST) -> Counter:
+    """How often each name is read, named as an attribute or imported
+    within tree."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 @cache
-def package_references() -> frozenset[str]:
+def package_references() -> Counter:
     """Every name the package reads, every attribute it names and every
-    name it imports."""
-    names = set()
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                names.update(alias.name for alias in node.names)
-    return frozenset(names)
+    name it imports, chardeg/__init__.py's exports included, with counts."""
+    return sum((references(ast.parse(p.read_text(), filename=str(p))) for p in SOURCES), Counter())
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -98,6 +103,21 @@ def test_package_uses_every_private_name_it_defines(path):
     used = package_references()
     unused = {name: line for name, line in defined.items() if name not in used}
     assert unused == {}, f"{path.name} defines private names nothing uses: {unused}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_module_level_function_and_class_is_used_or_exported(path):
+    # a definition named only inside its own body is dead, even when it
+    # calls itself
+    used = package_references()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dead = {
+        node.name: node.lineno
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and used[node.name] == references(node)[node.name]
+    }
+    assert dead == {}, f"{path.name} defines what nothing else in the package uses: {dead}"
 
 
 def test_readme_recipe_table_lists_every_kind():
