@@ -18,9 +18,9 @@ import sys
 
 from ._version import __version__
 from .acd import a_p, b_p, ell, format_rational, make_acd_report
-from .constructions import build, parse_group_spec, spectrum_of
-from .dixon import ClassCountError
-from .groups import GroupTooLargeError
+from .constructions import GroupRecipe, build, numeral_text, parse_group_spec, spectrum_of
+from .dixon import ClassCountError, DegreeSpectrum
+from .groups import ENUMERATION_CAP, GroupTooLargeError
 from .liedeg import LieFamilySpec, UnsupportedFamilyError, default_matrix, prime_coverage_check
 from .numbers import FactorizationError, InvariantError
 from .verify import VerifyConfig, run_catalog
@@ -44,21 +44,24 @@ def _spectrum_text(pairs) -> str:
     return " ".join(f"{d}^{k}" if k > 1 else str(d) for d, k in pairs)
 
 
+def _spectrum(spec: str) -> tuple[GroupRecipe, DegreeSpectrum]:
+    """A group spec's recipe and spectrum.  An atom of order past
+    ENUMERATION_CAP is nonabelian with one component (abelian atoms fit the
+    point cap), so its spectrum would need every element: it is refused
+    before its chain is built, which takes a minute for sym:100."""
+    recipe = parse_group_spec(spec)
+    for atom in recipe.factors or (recipe,):
+        if atom.order > ENUMERATION_CAP:
+            order = numeral_text(atom.order)
+            raise GroupTooLargeError(f"group of order {order} exceeds cap {ENUMERATION_CAP}")
+    return recipe, spectrum_of(build(recipe))
+
+
 def _cmd_table(args) -> int:
-    recipe = parse_group_spec(args.group)
-    built = build(recipe)
-    spectrum = spectrum_of(built)
+    recipe, spectrum = _spectrum(args.group)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "group": recipe.spec,
-                    "order": recipe.order,
-                    "degrees": list(spectrum.degrees),
-                },
-                separators=(",", ":"),
-            )
-        )
+        payload = {"group": recipe.spec, "order": recipe.order, "degrees": list(spectrum.degrees)}
+        print(json.dumps(payload, separators=(",", ":")))
         return 0
     print(f"group: {recipe.spec}")
     print(f"order: {recipe.order}")
@@ -68,9 +71,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_acd(args) -> int:
-    recipe = parse_group_spec(args.group)
-    built = build(recipe)
-    spectrum = spectrum_of(built)
+    recipe, spectrum = _spectrum(args.group)
     report = make_acd_report(spectrum, args.p)
     payload = {"group": recipe.spec, "order": recipe.order} | report.to_dict()
     if args.json:

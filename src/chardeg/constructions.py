@@ -320,6 +320,17 @@ def _numeral(text: str) -> int:
     return int(digits)
 
 
+def numeral_text(n: int) -> str:
+    """n in decimal, shortened past _NUMERAL_DIGITS digits as _numeral shows
+    a long numeral, and never converted whole (Python refuses 4300 digits)."""
+    if n < 10**_NUMERAL_DIGITS:
+        return str(n)
+    length = n.bit_length() * 30102 // 100000  # 0.30102 < log10(2)
+    while 10**length <= n:
+        length += 1
+    return f"{n // 10 ** (length - 8)}... ({length} digits)"
+
+
 def parse_group_spec(text: str) -> GroupRecipe:
     """Parse a recipe string; products join atoms with "x" between a digit
     and a letter, as in "sym:3xalt:4".  A product acts on the sum of its

@@ -7,7 +7,7 @@ conclusion:
   sylow-normal          acd_p(G) < b_p  =>  the Sylow p-subgroup is normal
   p-residual-solvable   acd_p(G) < a_p  =>  O^{p'}(G) is solvable
   ito-michler           acd_p(G) = 1   <=>  Sylow p abelian and normal
-  quotient-monotone     N normal, N <= G', acd_p(G) <= p
+  quotient-monotone     N = G' and acd_p(G) <= p
                         =>  acd_p(G/N) <= acd_p(G)
   orbit-bound           G = V . H split over elementary abelian V,
                         acd_p(G) <= p, and at least one H-orbit on the
@@ -34,7 +34,7 @@ from itertools import product
 from ._version import __version__
 from .acd import a_p, acd_p, b_p, format_rational
 from .constructions import BuiltGroup, SplitExtensionData, build, iter_catalog, spectrum_of
-from .dixon import CLASS_CAP, DegreeSpectrum, degree_spectrum
+from .dixon import CLASS_CAP, DegreeSpectrum
 from .groups import ENUMERATION_CAP, PermGroup, orbit
 from .liedeg import default_matrix, prime_coverage_check
 from .numbers import InvariantError, prime_divisors
@@ -45,7 +45,6 @@ from .subgroups import (
     is_solvable,
     normal_closure,
     normalizer,
-    quotient_group,
     sylow,
 )
 
@@ -105,8 +104,8 @@ class GroupFacts:
     """What the checks read about one group, each fact derived once.
 
     The spectrum and the split data come with G.  The Sylow p-subgroups and
-    their normality, acd_p, G' and whether G is solvable, the quotient
-    spectra and the dual orbit sizes are computed on first use and kept.
+    their normality, acd_p, G' and whether G is solvable, the spectrum of
+    G/G' and the dual orbit sizes are computed on first use and kept.
     The p-residual O^{p'}(G) is read from the kept Sylow normality: a
     normal Sylow p-subgroup is its own p-residual, so a normal closure is
     built only for a Sylow that is not normal, and built directly, with no
@@ -123,6 +122,10 @@ class GroupFacts:
     @classmethod
     def of(cls, built: BuiltGroup, seed: int = 0) -> GroupFacts:
         return cls(built.recipe.spec, built.group, spectrum_of(built), seed, built.split)
+
+    def outcome(self, check: str, p: int | None, **fields) -> CheckOutcome:
+        """A row of the named check for G at p."""
+        return CheckOutcome(check, self.group_id, self.G.order, p, **fields)
 
     def _once(self, key, compute):
         if key not in self._memo:
@@ -154,16 +157,17 @@ class GroupFacts:
         derived = self.derived.group
         return derived.order == 1 or (derived.order < self.G.order and is_solvable(derived))
 
-    def quotient_spectrum(self, N: SubgroupHandle) -> DegreeSpectrum | None:
-        """Spectrum of G/N, or None when N is not normal or not inside G'."""
-        return self._once(("quotient", N.group.generators), lambda: self._quotient_spectrum(N))
-
-    def _quotient_spectrum(self, N: SubgroupHandle) -> DegreeSpectrum | None:
-        G, derived = self.G, self.derived.group
-        if not is_normal(G, N) or not all(derived.contains(g) for g in N.group.generators):
-            return None
-        Q = quotient_group(G, N)
-        return self.spectrum if Q is G else degree_spectrum(Q)
+    @cached_property
+    def quotient_spectrum(self) -> DegreeSpectrum:
+        """Spectrum of G/G', read from G's: G/G' is abelian, so Irr(G/G')
+        is the linear characters of G, and there are |G:G'| of them
+        (Isaacs, Character Theory of Finite Groups, ch. 2).  With G'
+        trivial it is G's own spectrum, whose acd_p is in the memo."""
+        linear, derived = self.spectrum.count(1), self.derived.group.order
+        if linear * derived != self.G.order:
+            index = self.G.order // derived
+            raise InvariantError(f"{linear} linear characters, but |G:G'| = {index}")
+        return self.spectrum if derived == 1 else DegreeSpectrum(((1, linear),), linear)
 
     @cached_property
     def orbit_sizes(self) -> list[int]:
@@ -176,13 +180,11 @@ def check_sylow_normality(facts: GroupFacts, p: int) -> CheckOutcome:
     acd = facts.acd(p)
     threshold = b_p(p)
     normal = facts.sylow_normal(p)
-    return CheckOutcome(
+    return facts.outcome(
         "sylow-normal",
-        facts.group_id,
-        facts.G.order,
         p,
-        acd,
-        threshold,
+        acd=acd,
+        threshold=threshold,
         hypothesis_met=acd < threshold,
         conclusion_holds=normal,
         boundary=acd == threshold,
@@ -197,13 +199,11 @@ def check_p_residual_solvable(facts: GroupFacts, p: int) -> CheckOutcome:
     residual = facts.p_residual(p).group
     # a subgroup of a solvable group is solvable
     solvable = facts.solvable or (residual.order < facts.G.order and is_solvable(residual))
-    return CheckOutcome(
+    return facts.outcome(
         "p-residual-solvable",
-        facts.group_id,
-        facts.G.order,
         p,
-        acd,
-        threshold,
+        acd=acd,
+        threshold=threshold,
         hypothesis_met=acd < threshold,
         conclusion_holds=solvable,
         boundary=acd == threshold,
@@ -218,42 +218,33 @@ def check_ito_michler(facts: GroupFacts, p: int) -> CheckOutcome:
     normal = facts.sylow_normal(p)
     left = acd == 1
     right = abelian and normal
-    return CheckOutcome(
+    return facts.outcome(
         "ito-michler",
-        facts.group_id,
-        facts.G.order,
         p,
-        acd,
-        Fraction(1),
+        acd=acd,
+        threshold=Fraction(1),
         hypothesis_met=True,
         conclusion_holds=left == right,
         detail=f"acd=1:{left}, sylow abelian:{abelian}, normal:{normal}",
     )
 
 
-def check_quotient_monotonicity(facts: GroupFacts, N: SubgroupHandle, p: int) -> CheckOutcome | None:
-    """With N normal inside G' and acd_p(G) <= p, the quotient average
-    cannot exceed the group average.  Returns None when N fails the
-    preconditions (that is a skip, not a violation)."""
-    quotient_spectrum = facts.quotient_spectrum(N)
-    if quotient_spectrum is None:
-        return None
+def check_quotient_monotonicity(facts: GroupFacts, p: int) -> CheckOutcome:
+    """With acd_p(G) <= p, the average over Irr_p(G/G') cannot exceed the
+    group average."""
+    quotient_spectrum = facts.quotient_spectrum
     acd = facts.acd(p)
-    # a trivial N gives G's own spectrum, whose acd_p is in the memo
     acd_quotient = acd if quotient_spectrum is facts.spectrum else acd_p(quotient_spectrum, p)
-    # N lies inside G', so it is G' exactly when the orders agree
-    label = "derived-subgroup" if N.group.order == facts.derived.group.order else "subgroup"
-    return CheckOutcome(
+    quotient = format_rational(acd_quotient)
+    return facts.outcome(
         "quotient-monotone",
-        facts.group_id,
-        facts.G.order,
         p,
-        acd,
-        Fraction(p),
+        acd=acd,
+        threshold=Fraction(p),
         hypothesis_met=acd <= p,
         conclusion_holds=acd_quotient <= acd,
         boundary=acd_quotient == acd,
-        detail=f"N={label} |N|={N.group.order} quotient acd={format_rational(acd_quotient)}",
+        detail=f"N=derived-subgroup |N|={facts.derived.group.order} quotient acd={quotient}",
     )
 
 
@@ -298,16 +289,13 @@ def check_orbit_bound(facts: GroupFacts, p: int) -> CheckOutcome:
         boundary = best == acd
         detail = f"orbit sizes {sizes}, f={f}, best bound {format_rational(best)}"
     else:
-        conclusion = False
-        boundary = False
+        conclusion = boundary = False
         detail = f"orbit sizes {sizes}, f=0"
-    return CheckOutcome(
+    return facts.outcome(
         "orbit-bound",
-        facts.group_id,
-        facts.G.order,
         p,
-        acd,
-        Fraction(p),
+        acd=acd,
+        threshold=Fraction(p),
         hypothesis_met=hypothesis,
         conclusion_holds=conclusion,
         boundary=boundary,
@@ -418,7 +406,7 @@ def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOu
         ("sylow-normal", check_sylow_normality),
         ("p-residual-solvable", check_p_residual_solvable),
         ("ito-michler", check_ito_michler),
-        ("quotient-monotone", lambda f, p: check_quotient_monotonicity(f, f.derived, p)),
+        ("quotient-monotone", check_quotient_monotonicity),
     ]
     if facts.split is not None:
         checks.append(("orbit-bound", check_orbit_bound))
@@ -430,7 +418,7 @@ def _group_checks(built: BuiltGroup, config: VerifyConfig) -> tuple[list[CheckOu
                 outcomes.append(check(facts, p))
             except Exception as exc:  # recorded, sweep continues
                 error = _error_text(exc)
-                outcomes.append(CheckOutcome(name, facts.group_id, G.order, p, error=error))
+                outcomes.append(facts.outcome(name, p, error=error))
         if (
             config.tabulate_normalizers
             and G.order <= _NORMALIZER_TABLE_ORDER_CAP

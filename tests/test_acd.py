@@ -17,7 +17,7 @@ from chardeg.acd import (
 )
 from chardeg.dixon import DegreeSpectrum, degree_spectrum, expand_pairs
 from chardeg.numbers import is_prime, is_prime_power
-from chardeg.subgroups import is_solvable, p_residual
+from chardeg.subgroups import is_normal, is_solvable, p_residual, sylow
 
 from support import group_of
 
@@ -188,6 +188,19 @@ def test_acd_p_on_pairs_is_the_mean_of_the_expanded_irr_p_degrees(linear, nonlin
     expanded = expand_pairs(irr_p_degrees(sp, p))
     assert expanded == tuple(d for d in sp.degrees if d == 1 or d % p == 0)
     assert acd_p(sp, p) == Fraction(sum(expanded), len(expanded))
+
+
+@pytest.mark.parametrize("p, q", [(17, 103), (23, 47), (29, 59), (37, 149), (41, 83), (53, 107)])
+def test_agl1_attains_b_p_with_a_non_normal_sylow(p, q):
+    """The paper's Sylow-normality bound is sharp: for q = ell(p) p + 1,
+    AGL(1, q) has degrees 1^(q-1) and q - 1, so acd_p = b_p, and its Sylow
+    p-subgroup, inside the multiplicative group, is not normal."""
+    assert ell(p) * p + 1 == q
+    G = group_of(f"agl1:{q}")
+    spectrum = degree_spectrum(G)
+    assert spectrum.pairs == ((1, q - 1), (q - 1, 1))
+    assert acd_p(spectrum, p) == b_p(p)
+    assert not is_normal(G, sylow(G, p))
 
 
 @pytest.mark.parametrize("p", [p for p in range(17, 54) if is_prime(p)])

@@ -97,6 +97,37 @@ def test_every_library_error_exits_2(capsys, monkeypatch, exc):
     assert (code, out, err) == (2, "", f"error: {exc}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["table", "psl2:59"], "102660"),
+        (["acd", "agl1:4096", "-p", "2"], "16773120"),
+        (["table", "frob:2:12:4095"], "16773120"),
+        (["table", "sym:3xpsl2:61"], "113460"),
+        # 4096! has 13,020 digits, past the 4300 Python converts
+        (["table", "sym:4096"], "36427363... (13020 digits)"),
+        (["acd", "sym:4096", "-p", "2"], "36427363... (13020 digits)"),
+    ],
+)
+def test_an_atom_above_the_enumeration_cap_is_refused_before_it_is_built(
+    capsys, monkeypatch, argv, order
+):
+    def fail(recipe):
+        raise AssertionError(f"{recipe.spec} was built")
+
+    monkeypatch.setattr(cli, "build", fail)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: group of order {order} exceeds cap 100000\n")
+
+
+def test_a_product_above_the_enumeration_cap_of_atoms_below_it_is_solved(capsys):
+    # the spectrum is the product of its factors' spectra, each within the cap
+    code, out, _ = run_cli(capsys, "table", "alt:7xcyclic:100")
+    assert code == 0
+    assert "order: 252000" in out
+    assert "degrees: 1^100 6^100 10^200 14^200 15^100 21^100 35^100" in out
+
+
 def test_acd_text(capsys):
     code, out, _ = run_cli(capsys, "acd", "alt:5", "-p", "2")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import re
 from itertools import product
+from math import factorial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chardeg.constructions import (
     dihedral_class_count,
     direct_product,
     iter_catalog,
+    numeral_text,
     parse_group_spec,
     psl2,
     spectrum_of,
@@ -401,6 +403,27 @@ def test_parse_refuses_a_degree_above_the_point_cap(spec, monkeypatch):
     message = f"degree {_OVER_THE_CAP[spec]} exceeds the 4096-point cap"
     with pytest.raises(ValueError, match=re.escape(message)):
         parse_group_spec(spec)
+
+
+def decimal(n: int) -> str:
+    """n in decimal, converted 600 digits at a time, below the 4300 that
+    Python converts at once."""
+    chunks = []
+    while n >= 10**600:
+        n, low = divmod(n, 10**600)
+        chunks.append(f"{low:0600d}")
+    return str(n) + "".join(reversed(chunks))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [102660, 10**640 - 1, 10**640, 10**641 - 1, 2**20000 - 1, 2**20000, factorial(4096)],
+    ids=["102660", "10^640-1", "10^640", "10^641-1", "2^20000-1", "2^20000", "4096!"],
+)
+def test_numeral_text_shortens_a_long_number_as_a_long_numeral_is_shown(n):
+    digits = decimal(n)
+    expected = digits if len(digits) <= 640 else f"{digits[:8]}... ({len(digits)} digits)"
+    assert numeral_text(n) == expected
 
 
 def test_agl1_validates_like_its_recipe():

@@ -1,6 +1,7 @@
 """Tests for subgroup operations: derived series, Sylow subgroups, quotients."""
 
 import random
+from fractions import Fraction
 from math import prod
 from operator import itemgetter
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chardeg import constructions, groups, perms, subgroups
+from chardeg.acd import acd_p
 from chardeg.constructions import iter_catalog
 from chardeg.dixon import degree_spectrum
 from chardeg.groups import GroupTooLargeError, PermGroup, conjugacy_classes, orbit
@@ -354,6 +356,15 @@ def test_quotient_group():
     # quotient by the whole group is trivial
     W = subgroup(S4, S4.generators)
     assert quotient_group(S4, W).order == 1
+
+
+def test_quotient_acd_2_of_s4_by_v4():
+    """S_4/V_4 is S_3, with acd_2 = 4/3, the same as S_4's own: a quotient
+    by a normal subgroup below G' that keeps the average."""
+    S4 = group_of("sym:4")
+    V = derived_subgroup(derived_subgroup(S4).group)
+    Q = quotient_group(S4, subgroup(S4, V.group.generators))
+    assert acd_p(degree_spectrum(Q), 2) == acd_p(degree_spectrum(S4), 2) == Fraction(4, 3)
 
 
 def test_quotient_refuses_a_coset_space_above_the_point_cap():

@@ -9,6 +9,8 @@ import pytest
 
 from chardeg import subgroups, verify
 from chardeg.constructions import build, iter_catalog
+from chardeg.dixon import DegreeSpectrum
+from chardeg.numbers import InvariantError
 from chardeg.subgroups import derived_subgroup, is_normal, is_solvable, subgroup, sylow
 from chardeg.verify import (
     GroupFacts,
@@ -100,46 +102,93 @@ def test_ito_michler_cases():
     assert "acd=1:True" in out4.detail
 
 
-def test_quotient_monotone_s4_v4():
+def test_quotient_monotone_reads_g_mod_g_prime_from_the_linear_characters():
+    """G/G' is abelian, so Irr(G/G') is the linear characters of G, and its
+    acd_p is 1: for sym:4, two of them, |G:G'| = 2."""
     facts = facts_of("sym:4")
-    G = facts.G
-    A4 = derived_subgroup(G)
-    V4 = derived_subgroup(A4.group)
-    N = subgroup(G, V4.group.generators)
-    assert N.group.order == 4
-    out = check_quotient_monotonicity(facts, N, 2)
-    assert out is not None
+    assert facts.quotient_spectrum.pairs == ((1, 2),)
+    out = check_quotient_monotonicity(facts, 2)
     assert out.verdict == "confirmed"
     assert out.acd == Fraction(4, 3)
-    # quotient is sym:3, also with acd_2 = 4/3: equality, marked boundary
-    assert "N=subgroup |N|=4 quotient acd=4/3" in out.detail
-    assert out.boundary
+    assert out.detail == "N=derived-subgroup |N|=12 quotient acd=1/1"
+    assert not out.boundary
+
+
+def test_quotient_monotone_perfect_group():
+    # G' = G for alt:5: the quotient is trivial, its one character linear
+    facts = facts_of("alt:5")
+    assert facts.quotient_spectrum.pairs == ((1, 1),)
+    out = check_quotient_monotonicity(facts, 5)
+    assert out.verdict == "confirmed"
+    assert out.detail == "N=derived-subgroup |N|=60 quotient acd=1/1"
 
 
 def test_quotient_monotone_equality_boundary():
+    # G' is trivial for an abelian group, so G/G' is G: its spectrum is G's
+    # own, and equality of the averages is marked boundary
     facts = facts_of("cyclic:6")
-    N = sylow(facts.G, 3)
-    out = check_quotient_monotonicity(facts, N, 2)
-    # N = C_3 is inside the derived subgroup only if G' contains it; for an
-    # abelian group the derived subgroup is trivial, so this is a skip
-    assert out is None
-
-
-def test_quotient_monotone_skips_non_normal():
-    facts = facts_of("sym:4")
-    H = sylow(facts.G, 2)  # not normal
-    out = check_quotient_monotonicity(facts, H, 2)
-    assert out is None
-
-
-def test_quotient_monotone_skips_outside_derived():
-    facts = facts_of("sym:4")
-    A4 = derived_subgroup(facts.G)  # normal but the test needs N <= G'; A4 = G' works
-    out = check_quotient_monotonicity(facts, A4, 2)
-    assert out is not None  # A4 is exactly G', allowed
+    assert facts.quotient_spectrum is facts.spectrum
+    out = check_quotient_monotonicity(facts, 2)
     assert out.verdict == "confirmed"
-    # a handle other than facts.derived, labelled by its order
-    assert "N=derived-subgroup |N|=12" in out.detail
+    assert out.detail == "N=derived-subgroup |N|=1 quotient acd=1/1"
+    assert out.boundary
+
+
+def test_quotient_monotone_checks_the_linear_count_against_the_index():
+    # C_24's spectrum has 24 linear characters, but |sym:4 : A_4| = 2
+    facts = with_spectrum("sym:4", facts_of("cyclic:24").spectrum)
+    with pytest.raises(InvariantError, match=r"24 linear characters, but \|G:G'\| = 2"):
+        check_quotient_monotonicity(facts, 2)
+
+
+def with_spectrum(spec: str, spectrum: DegreeSpectrum) -> GroupFacts:
+    """Facts of the group spec with one wrong fact: the given spectrum."""
+    built = built_of(spec)
+    return GroupFacts(spec, built.group, spectrum, split=built.split)
+
+
+def abelian_spectrum(order: int) -> DegreeSpectrum:
+    return DegreeSpectrum(((1, order),), order)
+
+
+@pytest.mark.parametrize(
+    "check, spec, spectrum, p",
+    [
+        (check_sylow_normality, "sym:3", abelian_spectrum(6), 2),
+        (check_p_residual_solvable, "alt:5", abelian_spectrum(60), 2),
+        (check_ito_michler, "cyclic:6", DegreeSpectrum(((1, 2), (2, 1)), 6), 2),
+        (check_orbit_bound, "agl1:11", abelian_spectrum(110), 2),
+        (check_orbit_bound, "agl1:11", abelian_spectrum(110), 5),
+    ],
+    ids=["sylow-normal", "p-residual-solvable", "ito-michler", "orbit-bound-2", "orbit-bound-5"],
+)
+def test_a_falsified_spectrum_gives_a_violation(check, spec, spectrum, p):
+    """Each check can fail: given another group's spectrum of the same
+    order, it reports the wrong fact as a VIOLATION."""
+    assert check(with_spectrum(spec, spectrum), p).verdict == "VIOLATION"
+
+
+def test_a_falsified_linear_count_is_an_error_row(monkeypatch):
+    # C_60's spectrum has 60 linear characters, but alt:5 is perfect
+    monkeypatch.setattr(verify, "spectrum_of", lambda built: abelian_spectrum(60))
+    outcomes, _ = verify._group_checks(built_of("alt:5"), VerifyConfig())
+    rows = [c for c in outcomes if c.check == "quotient-monotone"]
+    assert [c.p for c in rows] == [2, 3, 5, 7]
+    for c in rows:
+        assert c.verdict == "error"
+        assert c.error == "InvariantError: 60 linear characters, but |G:G'| = 1"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_quotient_monotone_at_g_prime_is_true_by_construction(p):
+    """A wrong spectrum whose linear count agrees with |G:G'| is still
+    confirmed: acd_p(G/G') = 1 <= acd_p(G) whatever the degrees of G, so
+    these rows cannot fail and are no evidence for the paper's bound."""
+    facts = with_spectrum("alt:5", DegreeSpectrum(((1, 1), (3, 1), (5, 2)), 60))
+    assert facts.spectrum.pairs != facts_of("alt:5").spectrum.pairs
+    out = check_quotient_monotonicity(facts, p)
+    assert out.verdict == "confirmed"
+    assert "quotient acd=1/1" in out.detail
 
 
 def test_orbit_bound_agl1_11():
@@ -280,12 +329,21 @@ def test_sweep_derives_each_fact_once(monkeypatch):
 
     count("sylow", lambda G, p: (id(G), p))
     count("derived_subgroup", id)
-    count("quotient_group", lambda G, N: id(G))
     count("dual_orbit_sizes", id)
     count("acd_p", lambda spectrum, p: p)
     count("is_solvable", id)
+    quotients = []
+    quotient_group = subgroups.quotient_group
+
+    def recording(G, N):
+        quotients.append(G)
+        return quotient_group(G, N)
+
+    monkeypatch.setattr(subgroups, "quotient_group", recording)
     report = run_catalog(VerifyConfig(max_order=60))
     assert report.summary["errors"] == 0
+    # G/G' is read from G's linear characters, never built on cosets
+    assert quotients == []
     pairs = {(c.group, c.p) for c in report.checks}
     groups = {c.group for c in report.checks}
     split = {c.group for c in report.checks if c.check == "orbit-bound"}
@@ -293,7 +351,6 @@ def test_sweep_derives_each_fact_once(monkeypatch):
     for name, expected in [
         ("sylow", len(pairs)),
         ("derived_subgroup", len(groups)),
-        ("quotient_group", len(groups)),
         ("dual_orbit_sizes", len(split)),
     ]:
         assert len(calls[name]) == expected, name
@@ -356,9 +413,11 @@ def test_normal_closures_are_built_for_no_normal_sylow(monkeypatch):
 
 def test_a_sylow_found_not_normal_is_not_tested_again(monkeypatch):
     """The p-residual of a Sylow that the sylow-normal row found not normal
-    is built as its normal closure with no second normality test: the
-    order-150 sweep makes 3,247 is_normal calls, where repeating the test
-    for each such Sylow made 3,422."""
+    is built as its normal closure with no second normality test, and G/G'
+    is read from G's linear characters with no normality test at all: the
+    order-150 sweep makes 2,516 is_normal calls, where repeating the test
+    for each such Sylow made 3,422, and testing G' twice for its quotient
+    made 3,247."""
     calls = []
     is_normal = subgroups.is_normal
 
@@ -370,7 +429,7 @@ def test_a_sylow_found_not_normal_is_not_tested_again(monkeypatch):
         monkeypatch.setattr(module, "is_normal", counted)
     report = run_catalog(VerifyConfig(max_order=150))
     assert report.summary["errors"] == 0
-    assert len(calls) == 3247
+    assert len(calls) == 2516
 
 
 def test_report_json_shape_and_determinism():
